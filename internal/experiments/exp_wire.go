@@ -17,8 +17,8 @@ import (
 // fall out:
 //
 //   - bytes/word — the physical cost of one model word, i.e. the
-//     encoding efficiency plus the protocol overhead (barrier and
-//     report/verdict frames) the model abstracts away;
+//     encoding efficiency plus the protocol overhead (length prefixes
+//     and empty-batch frames) the model abstracts away;
 //   - v2 saving — the fraction of v1's bytes the v2 format eliminates
 //     by eliding per-envelope To/From headers (doc in transport/wire).
 //
@@ -81,7 +81,7 @@ func E20WireBytes(cfg Config) (Table, error) {
 			100*(1-float64(totV2)/float64(totV1)), totV2, totV1))
 	}
 	t.Notes = append(t.Notes,
-		"bytes/word > 1 is the physical reality the model abstracts: varint headers, empty-batch frames, barrier and report/verdict traffic",
+		"bytes/word > 1 is the physical reality the model abstracts: varint headers, length prefixes and empty-batch frames",
 		fmt.Sprintf("Stats bit-identical across wire formats: %v", allEqual))
 	return t, nil
 }

@@ -15,6 +15,7 @@ import (
 // kmnode's -debug-addr mux next to pprof and expvar:
 //
 //	POST /api/v1/jobs       submit a job        → 202 {id, state}
+//	                        (body over 1 MiB    → 413)
 //	GET  /api/v1/jobs       list jobs           → 200 [{...}]
 //	GET  /api/v1/jobs/{id}  job status + result → 200 {..., result}
 //	GET  /api/v1/status     scheduler gauges    → 200 {...}
@@ -98,10 +99,21 @@ func (s *Scheduler) RegisterAPI(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/drain", s.handleDrain)
 }
 
+// maxSubmitBody bounds the POST /api/v1/jobs body. A SubmitRequest is
+// a few hundred bytes; the bound only keeps a hostile or broken client
+// from making the decoder buffer an unbounded stream.
+const maxSubmitBody = 1 << 20
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
 	var sr SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("bad submit body: %w", err))
 		return
 	}
 	id, err := s.Submit(Request{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,9 +143,15 @@ func TestHTTPAPI(t *testing.T) {
 		t.Errorf("scheduler status %s", body)
 	}
 
-	// Error paths: bad algo 400, unknown job 404, bad id 400.
+	// Error paths: bad algo 400, oversized body 413, unknown job 404,
+	// bad id 400. The oversized body would be a valid submit but for its
+	// size, so only the body bound can reject it.
 	if resp, _ := post("/api/v1/jobs", SubmitRequest{Algo: "no-such", N: 10}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad algo: %d, want 400", resp.StatusCode)
+	}
+	big := map[string]any{"algo": "pagerank", "n": 10, "seed": 1, "pad": strings.Repeat("x", maxSubmitBody)}
+	if resp, _ := post("/api/v1/jobs", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: %d, want 413", resp.StatusCode)
 	}
 	if resp, _ := get("/api/v1/jobs/9999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)

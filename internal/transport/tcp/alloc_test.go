@@ -4,7 +4,7 @@ package tcp
 // the spirit of internal/core/alloc_test.go: once the mesh is built and
 // its buffers have grown to the working set, a steady-state superstep —
 // signal the parked workers, encode/ship/receive/decode k(k-1) batch
-// frames, pass the coordinator barrier, merge the inboxes — must not
+// frames, wait for all k endpoints, merge the inboxes — must not
 // allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
 // allocation sneaking back into the pipeline blows it immediately

@@ -2,10 +2,10 @@ package tcp
 
 // BenchmarkExchange measures the TCP substrate's hot path — one full
 // superstep over the loopback mesh: parallel encode, k(k-1) frame
-// ships, parallel decode, coordinator barrier, inbox merge — across
-// cluster sizes and batch sizes. bytes/superstep is the measured wire
-// traffic (from the endpoint WireStats), so format regressions show up
-// next to time regressions in the same table. BenchmarkExchangeWireV1
+// ships, parallel decode, inbox merge — across cluster sizes and batch
+// sizes. bytes/superstep is the measured wire traffic (from the
+// endpoint WireStats), so format regressions show up next to time
+// regressions in the same table. BenchmarkExchangeWireV1
 // pins the legacy format at one operating point for the v1-vs-v2
 // comparison recorded in BENCH_0003.json.
 

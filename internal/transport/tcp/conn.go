@@ -18,7 +18,8 @@ const connBufSize = 64 << 10
 func newDataConn(c net.Conn) *dataConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		// Batches are written once per superstep and flushed whole;
-		// Nagle only adds latency to the barrier frames.
+		// Nagle only adds latency to the small ones (empty batches,
+		// control reports and verdicts).
 		tc.SetNoDelay(true)
 	}
 	return &dataConn{

@@ -64,57 +64,77 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 
 // TestWireStatsCountsFrames checks the physical-layer accounting: a
 // healthy loopback mesh receives every byte it ships, the per-superstep
-// frame count matches the protocol (k·(k-1) data frames plus the
-// barrier's 2(k-1) control frames and k-1 loopback-free reports), and
-// byte totals grow monotonically with traffic.
+// frame count matches the protocol — exactly k·(k-1) data frames, one
+// per directed pair and empty batches included, with no control-plane
+// traffic — and byte totals grow monotonically with traffic. Both
+// superstep schedules are pinned: the lockstep Exchange and the
+// streaming BeginSuperstep/FinishSuperstep close.
 func TestWireStatsCountsFrames(t *testing.T) {
 	const k = 3
-	tr, err := New[testMsg](k, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	if w := tr.WireStats(); w.FramesSent != 0 || w.BytesSent != 0 {
-		t.Fatalf("fresh transport reports nonzero wire stats: %+v", w)
-	}
-	empty := make([][]transport.Envelope[testMsg], k)
-	if _, err := tr.Exchange(context.Background(), 0, empty); err != nil {
-		t.Fatal(err)
-	}
-	w0 := tr.WireStats()
-	if w0.BytesSent != w0.BytesRecv || w0.FramesSent != w0.FramesRecv {
-		t.Errorf("loopback mesh sent %d bytes/%d frames but received %d/%d",
-			w0.BytesSent, w0.FramesSent, w0.BytesRecv, w0.FramesRecv)
-	}
-	// Data: k(k-1) frames. Barrier: k-1 reports to the coordinator over
-	// sockets (its own loops back unframed) and k-1 verdict broadcasts.
-	wantFrames := int64(k*(k-1) + 2*(k-1))
-	if w0.FramesSent != wantFrames {
-		t.Errorf("empty superstep shipped %d frames, want %d", w0.FramesSent, wantFrames)
-	}
-
-	outs := make([][]transport.Envelope[testMsg], k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			if j == i {
-				continue
+	ctx := context.Background()
+	schedules := []struct {
+		name string
+		run  func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error
+	}{
+		{"lockstep", func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
+			_, err := tr.Exchange(ctx, step, outs)
+			return err
+		}},
+		{"streaming", func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
+			if err := tr.BeginSuperstep(ctx, step); err != nil {
+				return err
 			}
-			outs[i] = append(outs[i], transport.Envelope[testMsg]{
-				From: transport.MachineID(i), To: transport.MachineID(j), Words: 5, Msg: testMsg{Tag: 77},
-			})
-		}
+			_, err := tr.FinishSuperstep(ctx, step, outs)
+			return err
+		}},
 	}
-	if _, err := tr.Exchange(context.Background(), 1, outs); err != nil {
-		t.Fatal(err)
-	}
-	w1 := tr.WireStats()
-	if w1.FramesSent != 2*wantFrames {
-		t.Errorf("two supersteps shipped %d frames, want %d", w1.FramesSent, 2*wantFrames)
-	}
-	if w1.BytesSent-w0.BytesSent <= w0.BytesSent/2 {
-		t.Errorf("loaded superstep (%d bytes) not measurably heavier than empty one (%d)",
-			w1.BytesSent-w0.BytesSent, w0.BytesSent)
+	for _, sc := range schedules {
+		t.Run(sc.name, func(t *testing.T) {
+			tr, err := New[testMsg](k, testCodec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+
+			if w := tr.WireStats(); w.FramesSent != 0 || w.BytesSent != 0 {
+				t.Fatalf("fresh transport reports nonzero wire stats: %+v", w)
+			}
+			if err := sc.run(tr, 0, make([][]transport.Envelope[testMsg], k)); err != nil {
+				t.Fatal(err)
+			}
+			w0 := tr.WireStats()
+			if w0.BytesSent != w0.BytesRecv || w0.FramesSent != w0.FramesRecv {
+				t.Errorf("loopback mesh sent %d bytes/%d frames but received %d/%d",
+					w0.BytesSent, w0.FramesSent, w0.BytesRecv, w0.FramesRecv)
+			}
+			const wantFrames = int64(k * (k - 1))
+			if w0.FramesSent != wantFrames {
+				t.Errorf("empty superstep shipped %d frames, want %d", w0.FramesSent, wantFrames)
+			}
+
+			outs := make([][]transport.Envelope[testMsg], k)
+			for i := 0; i < k; i++ {
+				for j := 0; j < k; j++ {
+					if j == i {
+						continue
+					}
+					outs[i] = append(outs[i], transport.Envelope[testMsg]{
+						From: transport.MachineID(i), To: transport.MachineID(j), Words: 5, Msg: testMsg{Tag: 77},
+					})
+				}
+			}
+			if err := sc.run(tr, 1, outs); err != nil {
+				t.Fatal(err)
+			}
+			w1 := tr.WireStats()
+			if w1.FramesSent != 2*wantFrames {
+				t.Errorf("two supersteps shipped %d frames, want %d", w1.FramesSent, 2*wantFrames)
+			}
+			if w1.BytesSent-w0.BytesSent <= w0.BytesSent/2 {
+				t.Errorf("loaded superstep (%d bytes) not measurably heavier than empty one (%d)",
+					w1.BytesSent-w0.BytesSent, w0.BytesSent)
+			}
+		})
 	}
 }
 

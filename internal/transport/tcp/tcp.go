@@ -4,7 +4,9 @@
 // connections. Envelopes cross machine boundaries as length-prefixed
 // binary frames (transport/wire), one batch frame per (sender,
 // receiver) pair per superstep — empty batches included, which is how a
-// receiver knows a superstep's input is complete.
+// receiver knows a superstep's input is complete. That is all the
+// superstep synchronisation the mesh needs; no barrier traffic crosses
+// it.
 //
 // The per-superstep exchange is a persistent parallel pipeline: every
 // data connection is owned by a long-lived worker goroutine — one
@@ -18,10 +20,10 @@
 // exit when the endpoint closes; they never leak across supersteps.
 //
 // Machine 0 additionally acts as the coordinator: every other machine
-// holds a control connection to it, used for the superstep barrier
-// (Transport.Exchange) and for the report/verdict protocol of the
-// standalone runtime (transport/node). The coordinator's per-peer
-// report reads are driven by the same persistent-worker machinery.
+// holds a control connection to it, used only by the report/verdict
+// protocol of the standalone runtime (transport/node). The
+// coordinator's per-peer report reads are driven by the same
+// persistent-worker machinery.
 //
 // The package knows nothing about rounds or words: cost accounting
 // stays in core, which is what keeps Stats bit-identical between this
@@ -177,7 +179,6 @@ type Endpoint[M any] struct {
 	serialWriters bool
 	reports       [][]byte // id==0: assembled CollectReports result
 	ctrlFrame     [][]byte // id==0: per-peer control read buffers
-	barrierBuf    []byte
 	verdictBuf    []byte
 
 	// Bytes-on-wire accounting: every frame that crosses a socket —
@@ -1076,8 +1077,8 @@ func (e *Endpoint[M]) SendToCoordinator(ctx context.Context, payload []byte) err
 // workers; the returned payloads are recycled storage — peer slots are
 // valid until the next CollectReports call, while position 0 aliases
 // the buffer the caller itself queued via SendToCoordinator and is only
-// valid until the caller's next control-plane send (Barrier and the
-// node runtime both re-encode into recycled scratch each superstep).
+// valid until the caller's next control-plane send (the node runtime
+// re-encodes into recycled scratch each superstep).
 func (e *Endpoint[M]) CollectReports(ctx context.Context, step int) ([][]byte, error) {
 	if e.id != 0 {
 		return nil, fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
@@ -1178,39 +1179,6 @@ func (e *Endpoint[M]) ReceiveVerdict(ctx context.Context) ([]byte, error) {
 	return frame, nil
 }
 
-// Barrier runs one coordinator-driven superstep barrier: every machine
-// reports "superstep done" to machine 0, which releases them all once
-// the last report is in. ctx bounds both directions.
-func (e *Endpoint[M]) Barrier(ctx context.Context, step int) error {
-	payload := wire.AppendUvarint(e.barrierBuf[:0], uint64(step))
-	e.barrierBuf = payload
-	if err := e.SendToCoordinator(ctx, payload); err != nil {
-		return fmt.Errorf("tcp: machine %d barrier send (superstep %d): %w", e.id, step, err)
-	}
-	if e.id == 0 {
-		reports, err := e.CollectReports(ctx, step)
-		if err != nil {
-			return fmt.Errorf("tcp: barrier collect (superstep %d): %w", step, err)
-		}
-		for j, r := range reports {
-			got, _, err := wire.Uvarint(r)
-			if err != nil || got != uint64(step) {
-				return fmt.Errorf("tcp: barrier report from %d: step %d, want %d (err=%v)", j, got, step, err)
-			}
-		}
-		return e.Broadcast(ctx, payload)
-	}
-	release, err := e.ReceiveVerdict(ctx)
-	if err != nil {
-		return fmt.Errorf("tcp: machine %d barrier release (superstep %d): %w", e.id, step, err)
-	}
-	got, _, err := wire.Uvarint(release)
-	if err != nil || got != uint64(step) {
-		return fmt.Errorf("tcp: machine %d barrier release: step %d, want %d (err=%v)", e.id, got, step, err)
-	}
-	return nil
-}
-
 // retireWorkers closes every pipeline signal channel, run at most once
 // (via closeOnce) by Detach or Close. No dispatch can race it: the
 // caller set closed under mu first, dispatch sends only while holding
@@ -1309,8 +1277,7 @@ func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) 
 }
 
 // driveJob is one superstep's assignment for a cluster-side endpoint
-// driver: exchange this outbox under this context, then pass the
-// barrier.
+// driver: exchange (or finish streaming) this outbox under this context.
 type driveJob[M any] struct {
 	ctx    context.Context
 	step   int
@@ -1320,10 +1287,13 @@ type driveJob[M any] struct {
 
 // Transport is the cluster-side transport.Transport implementation: all
 // k machines live in this process, but every envelope crosses a real
-// loopback TCP connection and every superstep ends with the
-// coordinator-driven barrier. Each endpoint is owned by a persistent
-// driver goroutine, signalled once per superstep — no goroutine or
-// error-slice churn on the steady-state path.
+// loopback TCP connection. Each endpoint is owned by a persistent driver
+// goroutine, signalled once per superstep — no goroutine or error-slice
+// churn on the steady-state path. A superstep ends when all k drivers
+// have returned: an endpoint exchange returns only after its k-1 readers
+// have received and checked their peer's frame for that superstep
+// (empty batches included), so the drivers' WaitGroup is already the
+// observation barrier and no control-plane round is needed.
 type Transport[M any] struct {
 	eps []*Endpoint[M]
 	// inboxes are the double-buffered outer slices handed to the
@@ -1372,11 +1342,10 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 	return t, nil
 }
 
-// driver is the persistent goroutine owning endpoint i: one
-// exchange+barrier per signal, parked in between, exits when Close
-// closes its channel. The same close-under-mutex discipline as the
-// endpoint's pipeWorker keeps the WaitGroup sound against a concurrent
-// Close.
+// driver is the persistent goroutine owning endpoint i: one endpoint
+// exchange per signal, parked in between, exits when Close closes its
+// channel. The same close-under-mutex discipline as the endpoint's
+// pipeWorker keeps the WaitGroup sound against a concurrent Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
 		t.runStep(i, job)
@@ -1384,33 +1353,31 @@ func (t *Transport[M]) driver(i int) {
 	}
 }
 
+// runStep runs one endpoint's half of a superstep. On error the
+// endpoint has already closed itself; the close cascades error returns
+// to every peer blocked on its connections, so no driver hangs.
 func (t *Transport[M]) runStep(i int, job driveJob[M]) {
-	var inbox []transport.Envelope[M]
-	var err error
 	if job.finish {
-		inbox, err = t.eps[i].FinishSuperstep(job.ctx, job.step, job.out)
+		t.results[i], t.errs[i] = t.eps[i].FinishSuperstep(job.ctx, job.step, job.out)
 	} else {
-		inbox, err = t.eps[i].Exchange(job.ctx, job.step, job.out)
+		t.results[i], t.errs[i] = t.eps[i].Exchange(job.ctx, job.step, job.out)
 	}
-	if err == nil {
-		if berr := t.eps[i].Barrier(job.ctx, job.step); berr != nil {
-			t.eps[i].Close()
-			err = berr
-		}
-	}
-	// On an Exchange error the endpoint has already closed itself; the
-	// close cascades error returns to every peer blocked on this
-	// endpoint's connections, so no driver hangs here.
-	t.errs[i] = err
-	t.results[i] = inbox
 }
 
 // Exchange implements transport.Transport: each endpoint ships its
 // batch over its sockets concurrently (signalled to the persistent
-// drivers), then all pass the coordinator barrier before any inbox is
-// released to the cluster. ctx bounds the whole superstep on every
-// endpoint.
+// drivers), and no inbox is released to the cluster before every
+// endpoint has received all of its peers' frames. ctx bounds the whole
+// superstep on every endpoint.
 func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+	return t.runAll(ctx, step, outs, false)
+}
+
+// runAll signals one superstep to all k drivers, waits for every one of
+// them, and hands the per-endpoint inboxes to the cluster in
+// double-buffered outer slices. finish selects the streaming close
+// (FinishSuperstep) over the lockstep Exchange.
+func (t *Transport[M]) runAll(ctx context.Context, step int, outs [][]transport.Envelope[M], finish bool) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
 	if len(outs) != k {
 		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(outs), k)
@@ -1419,7 +1386,11 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("tcp: exchange on closed transport (superstep %d): %w", step, net.ErrClosed)
+		op := "exchange"
+		if finish {
+			op = "finish superstep"
+		}
+		return nil, fmt.Errorf("tcp: %s on closed transport (superstep %d): %w", op, step, net.ErrClosed)
 	}
 	for i := 0; i < k; i++ {
 		t.errs[i] = nil
@@ -1427,7 +1398,7 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: outs[i]}
+		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: outs[i], finish: finish}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
@@ -1512,64 +1483,12 @@ func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport
 }
 
 // FinishSuperstep implements transport.Streamer: the streaming
-// superstep's barrier. Every endpoint ships its rest envelopes, drains
-// its pipeline generation (eager and rest frames alike), and passes the
-// coordinator barrier — the same drivers, error preference, and
-// double-buffered inbox hand-off as Exchange.
+// superstep's barrier. Every endpoint ships its rest envelopes and
+// drains its pipeline generation (eager and rest frames alike) — the
+// same drivers, error preference, and double-buffered inbox hand-off as
+// Exchange.
 func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	k := len(t.eps)
-	if len(rest) != k {
-		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(rest), k)
-	}
-
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("tcp: finish superstep %d on closed transport: %w", step, net.ErrClosed)
-	}
-	for i := 0; i < k; i++ {
-		t.errs[i] = nil
-		t.results[i] = nil
-	}
-	t.wg.Add(k)
-	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: rest[i], finish: true}
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
-
-	var attributed, first error
-	for _, err := range t.errs {
-		if err == nil {
-			continue
-		}
-		var me *transport.MachineError
-		if errors.As(err, &me) {
-			if !errors.Is(err, net.ErrClosed) {
-				return nil, err
-			}
-			if attributed == nil {
-				attributed = err
-			}
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	if attributed != nil {
-		return nil, attributed
-	}
-	if first != nil {
-		return nil, first
-	}
-
-	if t.inboxes[t.gen] == nil {
-		t.inboxes[t.gen] = make([][]transport.Envelope[M], k)
-	}
-	inboxes := t.inboxes[t.gen]
-	t.gen ^= 1
-	copy(inboxes, t.results)
-	return inboxes, nil
+	return t.runAll(ctx, step, rest, true)
 }
 
 // WireStats sums the physical-layer counters of every endpoint: total

@@ -18,7 +18,8 @@
 //     tests (the default);
 //   - transport/tcp — each machine has its own listener and dials every
 //     peer over real net.Conns, with per-superstep batch framing
-//     (transport/wire) and a coordinator-driven barrier;
+//     (transport/wire): one frame per peer, empty ones included, is
+//     what ends a superstep;
 //   - transport/node — the standalone runtime that drives ONE machine
 //     of a cluster whose peers live in other processes (cmd/kmnode).
 package transport

@@ -100,6 +100,51 @@ func FuzzBatchDecode(f *testing.F) {
 	})
 }
 
+// FuzzJobHeader hardens PeelJobHeader, which parses the first bytes of
+// every data frame a job-attached reader receives from a peer: it must
+// never panic, a bare (job-less) frame must come back whole, and a job
+// header it accepts must round-trip through AppendJobHeader — same job
+// ID, same inner batch, and the very same bytes whenever the input's
+// job ID was minimally encoded (the encoder's only form; the decoder,
+// like binary.Uvarint, also accepts zero-padded varints).
+func FuzzJobHeader(f *testing.F) {
+	for _, job := range []uint64{0, 1, 127, 128, 1 << 35, ^uint64(0)} {
+		f.Add(AppendJobHeader(nil, job))
+	}
+	if batch, err := AppendBatchV2(AppendJobHeader(nil, 42), 3, 1, 2,
+		[]transport.Envelope[pairMsg]{{From: 1, To: 2, Words: 4, Msg: pairMsg{A: -9, B: 11}}}, pairCodec{}); err == nil {
+		f.Add(batch)
+	}
+	f.Add([]byte{BatchJobbed})
+	f.Add([]byte{BatchJobbed, 0x80})
+	f.Add([]byte{BatchV2, 0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, src []byte) {
+		job, rest, jobbed, err := PeelJobHeader(src)
+		if !jobbed {
+			if err != nil || !bytes.Equal(rest, src) {
+				t.Fatalf("job-less frame not returned whole: rest=% x err=%v", rest, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if len(rest) >= len(src) || !bytes.Equal(src[len(src)-len(rest):], rest) {
+			t.Fatalf("rest % x is not a proper suffix of % x", rest, src)
+		}
+		re := append(AppendJobHeader(nil, job), rest...)
+		job2, rest2, jobbed2, err := PeelJobHeader(re)
+		if err != nil || !jobbed2 || job2 != job || !bytes.Equal(rest2, rest) {
+			t.Fatalf("re-encoded header: job %d -> %d, jobbed=%v, err=%v", job, job2, jobbed2, err)
+		}
+		if len(src)-len(rest) == 1+UvarintLen(job) && !bytes.Equal(re, src) {
+			t.Fatalf("minimal header did not re-encode byte-identically: % x -> % x", src, re)
+		}
+	})
+}
+
 // batchFromBytes deterministically shapes fuzz input into a valid
 // single-destination batch: each input byte contributes one envelope
 // (capped so a megabyte mutation doesn't stall the fuzzer on a

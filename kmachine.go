@@ -151,10 +151,10 @@ const (
 	TransportInMem = transport.InMem
 	// TransportTCP runs every machine as its own listener+dialer over
 	// loopback TCP: every envelope crosses a real socket as a binary
-	// frame, and every superstep ends with a coordinator-driven
-	// barrier. Measured Stats are bit-identical to TransportInMem — the
-	// cost accounting happens in core before envelopes reach a
-	// transport.
+	// frame, and a superstep ends once every machine holds one frame
+	// from each peer. Measured Stats are bit-identical to
+	// TransportInMem — the cost accounting happens in core before
+	// envelopes reach a transport.
 	TransportTCP = transport.TCP
 )
 
