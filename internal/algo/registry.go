@@ -164,8 +164,6 @@ func (prob Problem) coreConfig(kind transport.Kind) core.Config {
 		}
 		cfg.Checkpoint = core.CheckpointPolicy{Every: ck.Every, Sink: sink,
 			MaxRecoveries: ck.MaxRecoveries}
-		// Checkpointed runs capture at the lockstep barrier.
-		cfg.Streaming = false
 	}
 	return cfg
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -26,15 +25,21 @@ import (
 // and the superstep's validated outgoing envelopes — is a complete,
 // consistent cut of the computation. Recovery reopens a fresh
 // transport, restores every machine in place from the latest cut, and
-// retries that superstep's exchange; from there the replay is the
+// retries that superstep's FinishSuperstep; from there the replay is the
 // original run, bit for bit, because every machine draws the same
 // random words and reads the same inboxes.
 //
-// Placement of the cut. runLockstep captures a checkpoint after the
-// superstep's accounting and before its Exchange. The checkpointed
-// Stats therefore already include the captured superstep, and a resumed
-// run re-enters the loop at the exchange of that superstep without
-// re-accounting it. Quiescence returns before accounting, so a final
+// Placement of the cut. The superstep loop (engine.go) captures a
+// checkpoint after the superstep's accounting and before its
+// FinishSuperstep. The checkpointed Stats therefore already include the
+// captured superstep, and a resumed run re-enters the loop at the
+// FinishSuperstep of that superstep without re-accounting it. Under
+// streaming some of the superstep's envelopes already went to the
+// transport mid-compute; the cut encodes each machine's streamed
+// batches (which the transport contract keeps readable until
+// FinishSuperstep) after its rest envelopes as one list of pending
+// outs, and a restore ships them all as rest — the same per-destination
+// order, hence the same inboxes. Quiescence returns before accounting, so a final
 // superstep is never captured — a checkpoint always names a superstep
 // whose exchange is (re)tryable. An additional arm-time image at
 // superstep -1 (fresh state, empty outs, zero stats) covers failures
@@ -68,7 +73,7 @@ type Snapshotter interface {
 const DefaultMaxRecoveries = 3
 
 // CheckpointPolicy is Config.Checkpoint: off by default (Every == 0),
-// and the lockstep loop's checkpoint hook is a single nil check when
+// and the superstep loop's checkpoint hook is a single nil check when
 // off, preserving the engine's zero-allocation steady state and every
 // golden hash.
 type CheckpointPolicy struct {
@@ -243,8 +248,8 @@ func (s *FileSink) list() ([]int, error) {
 	return steps, nil
 }
 
-// ckRun is the per-run checkpoint state threaded through runLockstep
-// when checkpointing is armed; nil keeps the loop on its fenced
+// ckRun is the per-run checkpoint state threaded through the superstep
+// loop when checkpointing is armed; nil keeps the loop on its fenced
 // zero-allocation path.
 type ckRun[M any] struct {
 	every int
@@ -255,8 +260,9 @@ type ckRun[M any] struct {
 
 	buf      []byte // encode scratch, reused across captures
 	initBlob []byte // arm-time superstep -1 image (restart-from-zero)
-	// resume >= 0 asks the next runLockstep call to re-enter at this
-	// superstep's exchange with restored outs; -2 means a normal start.
+	// resume >= 0 asks the next loop call to re-enter at this
+	// superstep's FinishSuperstep with restored outs; -2 means a normal
+	// start.
 	resume int
 }
 
@@ -271,7 +277,8 @@ type ckRun[M any] struct {
 //	per machine: uvarint rngState; flags byte (bit0 done);
 //	             uvarint len(state) + state blob;
 //	             uvarint len(outs), each: uvarint To, uvarint Words,
-//	             codec payload (self-delimiting per wire.Codec)
+//	             codec payload (self-delimiting per wire.Codec);
+//	             outs are the rest envelopes, then the streamed batches
 //
 // Stats.Recoveries is deliberately excluded: it is a live counter of
 // the run, not part of the computation's cut, and survives restores.
@@ -345,17 +352,39 @@ func (ck *ckRun[M]) encode(step int, e *engine[M], stats *Stats) ([]byte, error)
 			return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
 		}
 		b = spliceLen(b, lenAt, stateAt)
-		b = wire.AppendUvarint(b, uint64(len(e.outs[i])))
-		for j := range e.outs[i] {
-			env := &e.outs[i][j]
-			b = wire.AppendUvarint(b, uint64(env.To))
-			b = wire.AppendUvarint(b, uint64(env.Words))
-			if b, err = ck.codec.Append(b, env.Msg); err != nil {
-				return nil, fmt.Errorf("core: snapshot machine %d envelope %d: %w", i, j, err)
+		var streamed [][]Envelope[M]
+		if e.emitters != nil {
+			streamed = e.emitters[i].batches
+		}
+		n := len(e.outs[i])
+		for _, batch := range streamed {
+			n += len(batch)
+		}
+		b = wire.AppendUvarint(b, uint64(n))
+		if b, err = ck.appendOuts(b, i, e.outs[i]); err != nil {
+			return nil, err
+		}
+		for _, batch := range streamed {
+			if b, err = ck.appendOuts(b, i, batch); err != nil {
+				return nil, err
 			}
 		}
 	}
 	ck.buf = b
+	return b, nil
+}
+
+// appendOuts encodes machine i's pending envelopes into a checkpoint.
+func (ck *ckRun[M]) appendOuts(b []byte, i int, outs []Envelope[M]) ([]byte, error) {
+	var err error
+	for j := range outs {
+		env := &outs[j]
+		b = wire.AppendUvarint(b, uint64(env.To))
+		b = wire.AppendUvarint(b, uint64(env.Words))
+		if b, err = ck.codec.Append(b, env.Msg); err != nil {
+			return nil, fmt.Errorf("core: snapshot machine %d envelope to %d: %w", i, env.To, err)
+		}
+	}
 	return b, nil
 }
 
@@ -523,16 +552,15 @@ func (d *ckDecoder) bytes(n int) ([]byte, error) {
 // attributed *transport.MachineError and the context is still live, the
 // dead transport is replaced by one from reopen, every machine is
 // restored in place from the latest checkpoint, and the run resumes at
-// the checkpointed superstep's exchange — a deterministic replay whose
-// output is bit-identical to an unkilled run. Recovery is attempted up
-// to the policy's MaxRecoveries; Stats.Recoveries counts the
-// replacements performed.
+// the checkpointed superstep's FinishSuperstep — a deterministic replay
+// whose output is bit-identical to an unkilled run. Recovery is
+// attempted up to the policy's MaxRecoveries; Stats.Recoveries counts
+// the replacements performed.
 //
 // The caller owns t (and must Close it, as with RunOn); replacement
-// transports created from reopen are owned and closed here. Streaming
-// is ignored — checkpointing forces the lockstep schedule, whose
-// observation barrier is the consistent cut. With Checkpoint.Every ==
-// 0 this is exactly RunOn.
+// transports created from reopen are owned and closed here. The
+// schedule is Config.Streaming's, like RunOn's. With Checkpoint.Every
+// == 0 this is exactly RunOn.
 func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen func() (Transport[M], error)) (*Stats, error) {
 	pol := c.cfg.Checkpoint
 	if pol.Every <= 0 {
@@ -541,11 +569,7 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 	if codec == nil {
 		return nil, fmt.Errorf("core: checkpointing needs a message codec for state and envelope serialization")
 	}
-	k := c.cfg.K
-	runCtx := c.cfg.Context
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
+	runCtx := c.runContext()
 	maxRec := pol.MaxRecoveries
 	if maxRec <= 0 {
 		maxRec = DefaultMaxRecoveries
@@ -555,27 +579,9 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		sink = NewMemorySink(0)
 	}
 
-	stats := &Stats{
-		RecvWords: make([]int64, k),
-		SentWords: make([]int64, k),
-	}
+	stats := newStats(c.cfg.K)
 	defer stats.finalize()
-
-	e := &engine[M]{
-		machines: c.machines,
-		rec:      c.cfg.Recorder,
-		start:    newBarrier(k + 1),
-		done:     newBarrier(k + 1),
-		inboxes:  make([][]Envelope[M], k),
-		outs:     make([][]Envelope[M], k),
-		dones:    make([]bool, k),
-		panics:   make([]error, k),
-		ctxs:     make([]StepContext, k),
-	}
-	for i := 0; i < k; i++ {
-		e.ctxs[i] = StepContext{Self: MachineID(i), K: k, RNG: c.rngs[i]}
-		go e.worker(i)
-	}
+	e := c.newEngine()
 	defer e.shutdown()
 
 	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec, rngs: c.rngs, resume: -2}
@@ -590,7 +596,7 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		}
 	}()
 	for {
-		err := c.runLockstep(e, cur, runCtx, stats, ck)
+		err := c.run(e, cur, runCtx, stats, ck)
 		if err == nil {
 			return stats, nil
 		}

@@ -124,39 +124,40 @@ type Config struct {
 	// codec, because building a non-loopback transport needs one.
 	Transport transport.Kind
 	// Context cancels the whole run: RunOn observes it between barrier
-	// phases and hands it to every transport Exchange, so canceling it
+	// phases and hands it to every transport superstep, so canceling it
 	// aborts the computation with a wrapped context error instead of
 	// letting it run (or hang) to completion. nil means Background.
 	// Cancellation cannot interrupt a machine's local Step — the model
 	// makes local computation free — only the phases between barriers.
 	Context context.Context
-	// SuperstepTimeout bounds each superstep's cross-machine phases
-	// (transport exchange and, on socket substrates, the coordinator
-	// barrier): a peer that crashes or wedges mid-superstep surfaces as
-	// a machine-attributed error within the timeout instead of blocking
-	// the cluster forever. 0 means no per-superstep deadline; the
-	// happy-path behaviour (Stats, outputs, determinism) is identical
-	// with or without one.
+	// SuperstepTimeout bounds each superstep's transport phase: the
+	// deadline covers BeginSuperstep through FinishSuperstep (under
+	// Streaming the superstep opens before compute, since the wire is
+	// active throughout). A peer that crashes or wedges mid-superstep
+	// surfaces as a machine-attributed error within the timeout instead
+	// of blocking the cluster forever. 0 means no per-superstep
+	// deadline; the happy-path behaviour (Stats, outputs, determinism)
+	// is identical with or without one.
 	SuperstepTimeout time.Duration
-	// Streaming opts the run into streaming supersteps when the
-	// transport supports them (it implements transport.Streamer and
-	// reports CanStream): machines that emit per-peer batches through
-	// EmitBatch hand them to the wire while the superstep is still
-	// computing, instead of the compute → barrier → exchange lockstep.
-	// The knob changes scheduling only — §1.1 accounting stays
-	// pre-transport, so Stats, outputs, and determinism hashes are
-	// bit-identical with the flag on or off. Default off.
+	// Streaming binds an Emitter into every machine's StepContext:
+	// machines that emit per-peer batches through EmitBatch hand them to
+	// the transport while the superstep is still computing, instead of
+	// the compute → barrier → exchange lockstep. Every transport
+	// supports it. The knob changes scheduling only — §1.1 accounting
+	// stays pre-transport, so Stats, outputs, and determinism hashes are
+	// bit-identical with the flag on or off, with or without
+	// Checkpoint. Default off.
 	Streaming bool
 	// Checkpoint opts the run into per-superstep checkpointing and
 	// in-run recovery (see checkpoint.go): every Checkpoint.Every
 	// supersteps a consistent cut of all machine state is captured at
 	// the observation barrier into Checkpoint.Sink, and a run driven by
 	// RunCheckpointed survives machine loss by restoring the latest cut
-	// and replaying. Off by default (Every == 0): the lockstep loop's
+	// and replaying. Off by default (Every == 0): the superstep loop's
 	// hook is a single nil check, keeping the zero-allocation steady
 	// state and every golden hash unchanged. Checkpointing requires all
-	// machines to implement Snapshotter and forces the lockstep
-	// schedule (Streaming is ignored).
+	// machines to implement Snapshotter and works under either
+	// schedule.
 	Checkpoint CheckpointPolicy
 	// Recorder, when non-nil, receives wall-clock phase spans from the
 	// run: per machine and superstep, a compute span (the Step call) and

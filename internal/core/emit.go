@@ -14,9 +14,9 @@ import "kmachine/internal/transport"
 // schedule even though the bytes left early.
 //
 // Machines opt in through EmitBatch/EmitOrAppend and keep working
-// unchanged when no emitter is bound (lockstep runs, substrates without
-// the Streamer capability): EmitBatch then reports false and the batch
-// travels in the machine's returned outs exactly as before.
+// unchanged when no emitter is bound (the lockstep schedule): EmitBatch
+// then reports false and the batch travels in the machine's returned
+// outs exactly as before.
 
 // Emitter is the per-machine streaming-emission state for one run. It
 // is single-goroutine on the machine side (only machine `self`'s worker
@@ -34,6 +34,11 @@ type Emitter[M any] struct {
 	words   []int64
 	emitted []bool
 	touched []int32 // peers with emitted[·] set, for O(touched) Reset
+	// batches[i] is the batch emitted to touched[i]. The transport
+	// contract keeps it readable until FinishSuperstep, which is what
+	// lets a checkpoint cut taken before the finish encode it as
+	// pending outs.
+	batches [][]Envelope[M]
 }
 
 // NewEmitter builds the emission state for machine self of a k-machine
@@ -46,6 +51,7 @@ func NewEmitter[M any](sender transport.BatchSender[M], self MachineID, k int) *
 		words:   make([]int64, k),
 		emitted: make([]bool, k),
 		touched: make([]int32, 0, k),
+		batches: make([][]Envelope[M], 0, k),
 	}
 }
 
@@ -61,6 +67,8 @@ func (em *Emitter[M]) Reset() {
 		em.words[j] = 0
 	}
 	em.touched = em.touched[:0]
+	clear(em.batches)
+	em.batches = em.batches[:0]
 	em.msgs = 0
 	em.anySent = false
 	em.err = nil
@@ -131,6 +139,7 @@ func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
 	}
 	em.emitted[to] = true
 	em.touched = append(em.touched, int32(to))
+	em.batches = append(em.batches, batch)
 	em.words[to] = words
 	em.msgs += int64(len(batch))
 	em.anySent = true

@@ -6,12 +6,11 @@ import (
 	"sync"
 
 	"kmachine/internal/obs"
-	"kmachine/internal/transport"
 )
 
-// This file is the superstep engine behind Cluster.RunOn: k persistent
-// per-machine worker goroutines coordinated by a reusable two-phase
-// barrier. The engine is built so that a steady-state superstep
+// This file is the superstep engine behind Cluster.RunOn and
+// RunCheckpointed: k persistent per-machine worker goroutines
+// coordinated by a reusable two-phase barrier. The engine is built so that a steady-state superstep
 // allocates nothing:
 //
 //   - workers are spawned once per run, not once per superstep (no
@@ -31,7 +30,7 @@ import (
 //	start.Await() ───────────────▶   start.Await()
 //	                                 outs[i], dones[i] = Step(...)
 //	done.Await()  ◀───────────────   done.Await()
-//	validate, account, Exchange
+//	validate, account, FinishSuperstep
 //
 // All engine state (inboxes, outs, dones, panics, ctxs) is handed back
 // and forth through the barriers, whose internal mutex establishes the
@@ -86,6 +85,10 @@ type engine[M any] struct {
 	// non-nil (Config.Recorder); nil keeps workers on the span-free
 	// path the alloc fences pin.
 	rec obs.Recorder
+
+	// emitters[i] is machine i's bound Emitter when the run streams
+	// (Config.Streaming); nil is the lockstep schedule.
+	emitters []*Emitter[M]
 
 	inboxes [][]Envelope[M]
 	outs    [][]Envelope[M]
@@ -145,37 +148,19 @@ func (e *engine[M]) superstep(step int) {
 }
 
 // shutdown releases the workers with the stop flag set so they exit.
-// It is deferred by RunOn, covering every return path exactly once.
+// It is deferred by every run, covering every return path exactly once.
 func (e *engine[M]) shutdown() {
 	e.stop = true
 	e.start.Await()
 }
 
-// RunOn executes the cluster over the given transport. Envelope
-// validation, From-stamping, and all round/word accounting happen here,
-// before batches reach the transport, so the returned Stats are
-// bit-identical whichever substrate carries the envelopes.
-//
-// Failure handling: Config.Context is observed between barrier phases
-// (a canceled run aborts before the next superstep's exchange), and
-// Config.SuperstepTimeout imposes a per-superstep deadline on the
-// transport exchange, so a dead or wedged peer machine surfaces as a
-// wrapped, machine-attributed error within the timeout. Both knobs
-// leave the happy path byte-identical: with neither set, no context
-// machinery is allocated and the golden determinism hashes are
-// unchanged.
-func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
+// newEngine builds the per-run engine state shared by RunOn and
+// RunCheckpointed and spawns the k workers; the caller must defer
+// shutdown. When the run streams (Config.Streaming) every machine gets
+// an Emitter bound into its StepContext; the superstep loop points the
+// emitters at whichever transport it drives.
+func (c *Cluster[M]) newEngine() *engine[M] {
 	k := c.cfg.K
-	runCtx := c.cfg.Context
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
-	stats := &Stats{
-		RecvWords: make([]int64, k),
-		SentWords: make([]int64, k),
-	}
-	defer stats.finalize()
-
 	e := &engine[M]{
 		machines: c.machines,
 		rec:      c.cfg.Recorder,
@@ -187,284 +172,278 @@ func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
 		panics:   make([]error, k),
 		ctxs:     make([]StepContext, k),
 	}
+	if c.cfg.Streaming {
+		e.emitters = make([]*Emitter[M], k)
+	}
 	for i := 0; i < k; i++ {
 		e.ctxs[i] = StepContext{Self: MachineID(i), K: k, RNG: c.rngs[i]}
+		if e.emitters != nil {
+			e.emitters[i] = NewEmitter[M](nil, MachineID(i), k)
+			e.emitters[i].Bind(&e.ctxs[i])
+		}
 		go e.worker(i)
 	}
-	defer e.shutdown()
-
-	// Streaming supersteps: discovered like TraceSink/WireMeter, by
-	// type assertion, and additionally gated on the config knob and the
-	// transport's own CanStream answer (a chaos wrapper exposes the
-	// methods but delegates the decision to its inner transport). The
-	// lockstep loop below stays byte-identical when the knob is off.
-	if c.cfg.Streaming {
-		if s, ok := t.(transport.Streamer[M]); ok && s.CanStream() {
-			return stats, c.runStreaming(e, s, runCtx, stats)
-		}
-	}
-	return stats, c.runLockstep(e, t, runCtx, stats, nil)
+	return e
 }
 
-// runLockstep is the classic compute → barrier → exchange loop: every
-// envelope travels in the machine's returned outs, and the transport
-// sees one Exchange call per superstep.
+// newStats returns zeroed run statistics for a k-machine cluster.
+func newStats(k int) *Stats {
+	return &Stats{
+		RecvWords: make([]int64, k),
+		SentWords: make([]int64, k),
+	}
+}
+
+// runContext resolves Config.Context.
+func (c *Cluster[M]) runContext() context.Context {
+	if c.cfg.Context != nil {
+		return c.cfg.Context
+	}
+	return context.Background()
+}
+
+// RunOn executes the cluster over the given transport. Envelope
+// validation, From-stamping, and all round/word accounting happen here,
+// before batches reach the transport, so the returned Stats are
+// bit-identical whichever substrate carries the envelopes.
+//
+// Failure handling: Config.Context is observed between barrier phases
+// (a canceled run aborts before the next superstep's exchange), and
+// Config.SuperstepTimeout imposes a per-superstep deadline covering
+// BeginSuperstep through FinishSuperstep, so a dead or wedged peer
+// machine surfaces as a wrapped, machine-attributed error within the
+// timeout. Both knobs leave the happy path byte-identical: with neither
+// set, no context machinery is allocated and the golden determinism
+// hashes are unchanged.
+func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
+	stats := newStats(c.cfg.K)
+	defer stats.finalize()
+	e := c.newEngine()
+	defer e.shutdown()
+	return stats, c.run(e, t, c.runContext(), stats, nil)
+}
+
+// linkAcc is the run's link-load accumulator: linkLoad is dense (k×k)
+// but only the entries in touched are nonzero, so accounting and
+// re-zeroing cost O(touched links), not O(k²). recvS/sentS are the
+// per-superstep scratch reused by accountSparse.
+type linkAcc struct {
+	linkLoad     []int64
+	touched      []int32
+	recvS, sentS []int64
+}
+
+func newLinkAcc(k int) *linkAcc {
+	return &linkAcc{
+		linkLoad: make([]int64, k*k),
+		touched:  make([]int32, 0, 4*k),
+		recvS:    make([]int64, k),
+		sentS:    make([]int64, k),
+	}
+}
+
+// add charges w words to the directed link idx = from*k+to.
+func (a *linkAcc) add(idx int, w int64) {
+	if a.linkLoad[idx] == 0 {
+		a.touched = append(a.touched, int32(idx))
+	}
+	a.linkLoad[idx] += w
+}
+
+// run is the superstep loop, one schedule for every substrate: compute
+// → barrier → validate and account → FinishSuperstep. With no emitter
+// bound (lockstep) the transport superstep is opened right before it is
+// finished, so the wire is quiet during compute and the deadline covers
+// only the exchange. With emitters bound (Config.Streaming) it is opened
+// before the workers are released: machines hand finished per-peer
+// batches to the transport mid-compute, and FinishSuperstep ships the
+// rest and doubles as the barrier.
+//
+// The §1.1 accounting does not depend on the schedule. Every envelope is
+// validated and From-stamped in core before the transport sees it —
+// streamed batches in EmitBatch (on the emitting worker's goroutine),
+// rest envelopes in account — and the link-load sums fold the emitters'
+// records and the rest loads together after the step barrier; since
+// per-link sums and maxima are order-independent, the resulting
+// SuperstepStat is the same whichever schedule carried the envelopes.
+// Mixing schedules per peer is forbidden (a machine that streamed a
+// batch to j must not also return rest envelopes for j), which keeps
+// each receiver's per-sender envelope order — and hence the golden
+// output hashes — schedule-independent.
+//
+// Termination quiesces BEFORE FinishSuperstep, so a streaming run's
+// final superstep is deliberately left open and the transport's Close
+// (deferred by the caller) unblocks any parked I/O. Finishing it instead
+// would ship k(k-1) empty frames the lockstep schedule never sends,
+// breaking wire-byte parity.
 //
 // ck, when non-nil, arms per-superstep checkpointing (see
 // checkpoint.go): a cut of all machines is captured every ck.every
-// supersteps after accounting and before the exchange, and a resume
+// supersteps after accounting and before FinishSuperstep, and a resume
 // request (ck.resume >= 0, set by RunCheckpointed after restoring a
-// checkpoint) re-enters the loop at that superstep's exchange with the
-// restored outs, skipping the already-executed compute and accounting.
-// With ck nil the loop is byte-identical to its pre-checkpoint form.
-func (c *Cluster[M]) runLockstep(e *engine[M], t Transport[M], runCtx context.Context, stats *Stats, ck *ckRun[M]) error {
-	k := c.cfg.K
-
-	// Link-load accumulator: linkLoad is dense (k×k) but only the
-	// entries in touched are nonzero, so accounting and re-zeroing cost
-	// O(touched links), not O(k²). recvS/sentS are the per-superstep
-	// scratch reused by accountSparse.
-	linkLoad := make([]int64, k*k)
-	touched := make([]int32, 0, 4*k)
-	recvS := make([]int64, k)
-	sentS := make([]int64, k)
-
-	start, skipCompute := 0, false
+// checkpoint) re-enters the loop at that superstep's FinishSuperstep
+// with the restored outs, skipping the already-executed compute and
+// accounting. With ck nil the hook is a single nil check.
+func (c *Cluster[M]) run(e *engine[M], t Transport[M], runCtx context.Context, stats *Stats, ck *ckRun[M]) error {
+	for _, em := range e.emitters {
+		em.sender = t
+	}
+	acc := newLinkAcc(c.cfg.K)
+	start, resumed := 0, false
 	if ck != nil && ck.resume >= 0 {
-		start, skipCompute = ck.resume, true
+		start, resumed = ck.resume, true
 		ck.resume = -2
 	}
 	for step := start; ; step++ {
-		if skipCompute {
-			// Resuming from a checkpoint: machines, stats, and outs hold
-			// the restored post-compute image of this superstep — go
-			// straight to retrying its exchange.
-			skipCompute = false
-		} else {
-			if step >= c.cfg.MaxSupersteps {
-				return ErrMaxSupersteps
-			}
-			if err := runCtx.Err(); err != nil {
-				return fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
-			}
-			e.superstep(step)
-			for _, perr := range e.panics {
-				if perr != nil {
-					return perr
-				}
-			}
-			// Second cancellation point, between the step barrier and the
-			// exchange: a cancel that landed while machines were stepping
-			// aborts before any envelope reaches the transport.
-			if err := runCtx.Err(); err != nil {
-				return fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
-			}
-
-			// Validate, stamp, and accumulate the touched link loads; the
-			// cost arithmetic itself lives in accountSparse/AccountSuperstep,
-			// shared with the standalone coordinator.
-			var messages int64
-			allDone, pending := true, false
-			for i := 0; i < k; i++ {
-				if !e.dones[i] {
-					allDone = false
-				}
-				if len(e.outs[i]) > 0 {
-					pending = true
-				}
-				for j := range e.outs[i] {
-					env := &e.outs[i][j]
-					if env.To < 0 || int(env.To) >= k {
-						return fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
-					}
-					if env.Words < 0 {
-						return fmt.Errorf("core: machine %d sent negative-size envelope", i)
-					}
-					env.From = MachineID(i)
-					if int(env.To) == i {
-						// Self-addressed envelopes are free: local
-						// computation costs nothing in the model.
-						continue
-					}
-					messages++
-					if w := int64(env.Words); w > 0 {
-						idx := i*k + int(env.To)
-						if linkLoad[idx] == 0 {
-							touched = append(touched, int32(idx))
-						}
-						linkLoad[idx] += w
-					}
-				}
-			}
-			if allDone && !pending {
-				return nil
-			}
-
-			ss := accountSparse(k, c.cfg.Bandwidth, linkLoad, touched, messages, recvS, sentS)
-			touched = touched[:0]
-			for i := 0; i < k; i++ {
-				stats.RecvWords[i] += recvS[i]
-				stats.SentWords[i] += sentS[i]
-			}
-			stats.Rounds += ss.Rounds
-			stats.Supersteps++
-			stats.Messages += ss.Messages
-			stats.Words += ss.Words
-			if !c.cfg.DropPerSuperstep {
-				stats.PerSuperstep = append(stats.PerSuperstep, ss)
-			}
-
-			// The observation-barrier cut: everything above (state, RNG
-			// draws, accounting) is included, the exchange below is not —
-			// a restore retries it. Quiescence returned before this point,
-			// so a captured superstep always has an exchange to retry.
-			if ck != nil && (step+1)%ck.every == 0 {
-				if err := ck.capture(step, e, stats); err != nil {
-					return fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
-				}
-			}
-		}
-
-		// Deliver through the transport; the contract guarantees inboxes
-		// come back assembled in sender order for determinism, and the
-		// ownership rule lets the transport recycle inbox storage across
-		// supersteps (double-buffered, so superstep s inboxes stay valid
-		// while s+1 is assembled). The per-superstep deadline, when
-		// configured, lives only around this call: the deadline context
-		// is the run's sole allocation in a steady-state superstep, and
-		// only when the knob is on.
-		sctx, cancel := runCtx, context.CancelFunc(nil)
-		if c.cfg.SuperstepTimeout > 0 {
-			sctx, cancel = context.WithTimeout(runCtx, c.cfg.SuperstepTimeout)
-		}
-		var xt0 int64
-		if e.rec != nil {
-			xt0 = obs.Now()
-		}
-		next, err := t.Exchange(sctx, step, e.outs)
-		if e.rec != nil {
-			// One cluster-level span per superstep (Machine -1): the
-			// exchange is a barrier, so its duration is the whole
-			// cluster's communication phase. Recorded on the error path
-			// too — a failed run's timeline is the one worth reading.
-			e.rec.Record(obs.Span{Start: xt0, Dur: obs.Now() - xt0,
-				Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
-		}
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			// A run canceled mid-exchange surfaces from the transport
-			// as teardown shrapnel (closed connections); re-report the
-			// cancellation as the root cause so errors.Is(err,
-			// context.Canceled) holds as Config.Context documents.
-			if cErr := runCtx.Err(); cErr != nil {
-				return fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, err)
-			}
-			return fmt.Errorf("core: transport exchange failed in superstep %d: %w", step, err)
-		}
-		if len(next) != k {
-			return fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), k)
-		}
-		e.inboxes = next
-	}
-}
-
-// runStreaming is the streaming-superstep loop: the transport is opened
-// with BeginSuperstep before the workers are released, machines hand
-// finished per-peer batches to it mid-compute through their bound
-// Emitters, and FinishSuperstep ships the remainder and doubles as the
-// superstep barrier.
-//
-// The §1.1 accounting is unchanged by construction. Every envelope is
-// validated and From-stamped in core before the transport sees it —
-// streamed batches in EmitBatch (on the emitting worker's goroutine),
-// rest envelopes in the loop below — and the link-load sums fold the
-// emitters' records and the rest loads together after the step barrier;
-// since per-link sums and maxima are order-independent, the resulting
-// SuperstepStat is bit-identical to the lockstep computation over the
-// same envelopes. Mixing schedules per peer is forbidden (a machine
-// that streamed a batch to j must not also return rest envelopes for
-// j), which keeps each receiver's per-sender envelope order — and hence
-// the golden output hashes — schedule-independent.
-//
-// Termination quiesces BEFORE FinishSuperstep, exactly like lockstep
-// returns before its Exchange — so the final superstep's BeginSuperstep
-// is deliberately left dangling and the transport's Close (deferred by
-// the caller) unblocks the eagerly-parked receive I/O. Finishing it
-// instead would ship k(k-1) empty frames the lockstep schedule never
-// sends, breaking wire-byte parity.
-func (c *Cluster[M]) runStreaming(e *engine[M], s transport.Streamer[M], runCtx context.Context, stats *Stats) error {
-	k := c.cfg.K
-	emitters := make([]*Emitter[M], k)
-	for i := 0; i < k; i++ {
-		emitters[i] = NewEmitter[M](s, MachineID(i), k)
-		emitters[i].Bind(&e.ctxs[i])
-	}
-
-	linkLoad := make([]int64, k*k)
-	touched := make([]int32, 0, 4*k)
-	recvS := make([]int64, k)
-	sentS := make([]int64, k)
-
-	for step := 0; ; step++ {
-		done, err := c.streamStep(e, s, emitters, runCtx, step, stats, linkLoad, &touched, recvS, sentS)
+		done, err := c.superstep(e, t, runCtx, step, stats, acc, ck, resumed)
 		if done || err != nil {
 			return err
 		}
+		resumed = false
 	}
 }
 
-// streamStep drives one streaming superstep; done reports quiescent
-// termination. The per-superstep deadline, when configured, covers the
-// whole superstep — BeginSuperstep through FinishSuperstep — because
-// under streaming the wire is active during compute, not only in a
-// trailing exchange phase.
-func (c *Cluster[M]) streamStep(e *engine[M], s transport.Streamer[M], emitters []*Emitter[M],
-	runCtx context.Context, step int, stats *Stats, linkLoad []int64, touchedP *[]int32, recvS, sentS []int64) (done bool, err error) {
-	k := c.cfg.K
-	if step >= c.cfg.MaxSupersteps {
-		return false, ErrMaxSupersteps
+// superstep drives superstep step; done reports quiescent termination.
+// resumed skips compute and accounting: machines, stats, and outs hold
+// the restored post-compute image of this superstep, so it goes
+// straight to retrying its FinishSuperstep.
+func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Context, step int,
+	stats *Stats, acc *linkAcc, ck *ckRun[M], resumed bool) (done bool, err error) {
+	var sctx context.Context
+	var cancel context.CancelFunc
+	defer func() {
+		if cancel != nil {
+			cancel()
+		}
+	}()
+	if !resumed {
+		if step >= c.cfg.MaxSupersteps {
+			return false, ErrMaxSupersteps
+		}
+		if err := runCtx.Err(); err != nil {
+			return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
+		}
+		if e.emitters != nil {
+			for _, em := range e.emitters {
+				em.Reset()
+			}
+			if sctx, cancel, err = c.begin(t, runCtx, step); err != nil {
+				return false, err
+			}
+		}
+		e.superstep(step)
+		for _, perr := range e.panics {
+			if perr != nil {
+				return false, perr
+			}
+		}
+		// Second cancellation point, between the step barrier and the
+		// exchange: a cancel that landed while machines were stepping
+		// aborts before any rest envelope reaches the transport.
+		if err := runCtx.Err(); err != nil {
+			return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
+		}
+		if done, err := c.account(e, runCtx, step, stats, acc); done || err != nil {
+			return done, err
+		}
+		// The observation-barrier cut: everything above (state, RNG
+		// draws, accounting) is included, FinishSuperstep below is not
+		// — a restore retries it. Quiescence returned before this point,
+		// so a captured superstep always has an exchange to retry.
+		if ck != nil && (step+1)%ck.every == 0 {
+			if err := ck.capture(step, e, stats); err != nil {
+				return false, fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
+			}
+		}
 	}
-	if err := runCtx.Err(); err != nil {
-		return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
+
+	// Deliver through the transport; the contract guarantees inboxes
+	// come back assembled in sender order for determinism, and the
+	// ownership rule lets the transport recycle inbox storage across
+	// supersteps (double-buffered, so superstep s inboxes stay valid
+	// while s+1 is assembled).
+	var xt0 int64
+	if e.rec != nil {
+		xt0 = obs.Now()
 	}
+	if sctx == nil {
+		if sctx, cancel, err = c.begin(t, runCtx, step); err != nil {
+			return false, err
+		}
+	}
+	next, err := t.FinishSuperstep(sctx, step, e.outs)
+	if e.rec != nil {
+		// One cluster-level span per superstep (Machine -1): the finish
+		// is a barrier, so its duration is the whole cluster's
+		// communication phase — under streaming only the drain of
+		// whatever the eager path had not already shipped. Recorded on
+		// the error path too — a failed run's timeline is the one worth
+		// reading.
+		e.rec.Record(obs.Span{Start: xt0, Dur: obs.Now() - xt0,
+			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
+	}
+	if err != nil {
+		return false, transportFailed(runCtx, step, "exchange", err)
+	}
+	if len(next) != c.cfg.K {
+		return false, fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), c.cfg.K)
+	}
+	e.inboxes = next
+	return false, nil
+}
+
+// begin opens superstep step on the transport under the per-superstep
+// deadline, when configured: the deadline context is the run's sole
+// allocation in a steady-state superstep, and only when the knob is on.
+func (c *Cluster[M]) begin(t Transport[M], runCtx context.Context, step int) (context.Context, context.CancelFunc, error) {
 	sctx, cancel := runCtx, context.CancelFunc(nil)
 	if c.cfg.SuperstepTimeout > 0 {
 		sctx, cancel = context.WithTimeout(runCtx, c.cfg.SuperstepTimeout)
 	}
-	if cancel != nil {
-		defer cancel()
+	if err := t.BeginSuperstep(sctx, step); err != nil {
+		return sctx, cancel, transportFailed(runCtx, step, "begin", err)
 	}
-	for i := 0; i < k; i++ {
-		emitters[i].Reset()
-	}
-	if berr := s.BeginSuperstep(sctx, step); berr != nil {
-		return false, fmt.Errorf("core: transport begin superstep %d: %w", step, berr)
-	}
-	e.superstep(step)
-	for _, perr := range e.panics {
-		if perr != nil {
-			return false, perr
-		}
-	}
-	if err := runCtx.Err(); err != nil {
-		return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
-	}
+	return sctx, cancel, nil
+}
 
-	// Validate and stamp the rest envelopes, fold both emission records
-	// into the touched link loads, and surface any mid-compute
-	// SendBatch failure before the finish barrier.
-	touched := *touchedP
+// transportFailed wraps a transport error. A run canceled mid-superstep
+// surfaces from the transport as teardown shrapnel (closed
+// connections); it is re-reported with the cancellation as the root
+// cause so errors.Is(err, context.Canceled) holds as Config.Context
+// documents.
+func transportFailed(runCtx context.Context, step int, op string, err error) error {
+	if cErr := runCtx.Err(); cErr != nil {
+		return fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, err)
+	}
+	return fmt.Errorf("core: transport %s failed in superstep %d: %w", op, step, err)
+}
+
+// account validates and From-stamps the rest envelopes, folds them and
+// the emitters' records into the touched link loads, and charges the
+// superstep to stats; the cost arithmetic itself lives in
+// accountSparse/AccountSuperstep, shared with the standalone
+// coordinator. done reports quiescence: every machine done and nothing
+// sent, in which case nothing is charged.
+func (c *Cluster[M]) account(e *engine[M], runCtx context.Context, step int, stats *Stats, acc *linkAcc) (done bool, err error) {
+	k := c.cfg.K
 	var messages int64
 	allDone, pending := true, false
 	for i := 0; i < k; i++ {
-		em := emitters[i]
-		if serr := em.Err(); serr != nil {
-			if cErr := runCtx.Err(); cErr != nil {
-				return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, serr)
+		var em *Emitter[M]
+		if e.emitters != nil {
+			em = e.emitters[i]
+			if serr := em.Err(); serr != nil {
+				return false, transportFailed(runCtx, step, fmt.Sprintf("send from machine %d", i), serr)
 			}
-			return false, fmt.Errorf("core: machine %d streaming emit failed in superstep %d: %w", i, step, serr)
+			for _, j := range em.touched {
+				if w := em.words[j]; w > 0 {
+					acc.add(i*k+int(j), w)
+				}
+			}
+			messages += em.msgs
+			if em.anySent {
+				pending = true
+			}
 		}
 		if !e.dones[i] {
 			allDone = false
@@ -472,57 +451,38 @@ func (c *Cluster[M]) streamStep(e *engine[M], s transport.Streamer[M], emitters 
 		if len(e.outs[i]) > 0 {
 			pending = true
 		}
-		for _, j := range em.touched {
-			if w := em.words[j]; w > 0 {
-				idx := i*k + int(j)
-				if linkLoad[idx] == 0 {
-					touched = append(touched, int32(idx))
-				}
-				linkLoad[idx] += w
-			}
-		}
-		messages += em.msgs
-		if em.anySent {
-			pending = true
-		}
 		for j := range e.outs[i] {
 			env := &e.outs[i][j]
 			if env.To < 0 || int(env.To) >= k {
-				*touchedP = touched
 				return false, fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
 			}
 			if env.Words < 0 {
-				*touchedP = touched
 				return false, fmt.Errorf("core: machine %d sent negative-size envelope", i)
 			}
 			env.From = MachineID(i)
 			if int(env.To) == i {
+				// Self-addressed envelopes are free: local computation
+				// costs nothing in the model.
 				continue
 			}
-			if em.emitted[env.To] {
-				*touchedP = touched
+			if em != nil && em.emitted[env.To] {
 				return false, fmt.Errorf("core: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", i, env.To, step)
 			}
 			messages++
 			if w := int64(env.Words); w > 0 {
-				idx := i*k + int(env.To)
-				if linkLoad[idx] == 0 {
-					touched = append(touched, int32(idx))
-				}
-				linkLoad[idx] += w
+				acc.add(i*k+int(env.To), w)
 			}
 		}
 	}
 	if allDone && !pending {
-		*touchedP = touched
 		return true, nil
 	}
 
-	ss := accountSparse(k, c.cfg.Bandwidth, linkLoad, touched, messages, recvS, sentS)
-	*touchedP = touched[:0]
+	ss := accountSparse(k, c.cfg.Bandwidth, acc.linkLoad, acc.touched, messages, acc.recvS, acc.sentS)
+	acc.touched = acc.touched[:0]
 	for i := 0; i < k; i++ {
-		stats.RecvWords[i] += recvS[i]
-		stats.SentWords[i] += sentS[i]
+		stats.RecvWords[i] += acc.recvS[i]
+		stats.SentWords[i] += acc.sentS[i]
 	}
 	stats.Rounds += ss.Rounds
 	stats.Supersteps++
@@ -531,30 +491,5 @@ func (c *Cluster[M]) streamStep(e *engine[M], s transport.Streamer[M], emitters 
 	if !c.cfg.DropPerSuperstep {
 		stats.PerSuperstep = append(stats.PerSuperstep, ss)
 	}
-
-	var xt0 int64
-	if e.rec != nil {
-		xt0 = obs.Now()
-	}
-	next, ferr := s.FinishSuperstep(sctx, step, e.outs)
-	if e.rec != nil {
-		// The cluster-level exchange span under streaming is only the
-		// finish barrier — the drain of whatever the eager path had not
-		// already shipped. Its shrinkage relative to lockstep is the
-		// schedule's win; the obs overlap gauge (frame-write ∩ compute)
-		// is the direct proof of concurrency.
-		e.rec.Record(obs.Span{Start: xt0, Dur: obs.Now() - xt0,
-			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
-	}
-	if ferr != nil {
-		if cErr := runCtx.Err(); cErr != nil {
-			return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, ferr)
-		}
-		return false, fmt.Errorf("core: transport exchange failed in superstep %d: %w", step, ferr)
-	}
-	if len(next) != k {
-		return false, fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), k)
-	}
-	e.inboxes = next
 	return false, nil
 }

@@ -4,13 +4,14 @@
 // substrate for simulations and tests: envelopes never leave the
 // process and delivery is a pure slice shuffle.
 //
-// Exchange assembles inboxes count-then-place: one pass over the
-// outboxes counts the per-destination envelopes, the k inboxes are then
-// carved out of a single flat buffer, and a second pass places every
-// envelope at its final position. The flat buffer and the inbox headers
-// are double-buffered and recycled across supersteps (the transport
-// ownership rule), so a steady-state superstep performs no allocation
-// at all once the buffers have grown to the run's working set.
+// FinishSuperstep assembles inboxes count-then-place: one pass over the
+// streamed batches and rest outboxes counts the per-destination
+// envelopes, the k inboxes are then carved out of a single flat buffer,
+// and a second pass places every envelope at its final position. The
+// flat buffer and the inbox headers are double-buffered and recycled
+// across supersteps (the transport ownership rule), so a steady-state
+// superstep performs no allocation at all once the buffers have grown
+// to the run's working set.
 package inmem
 
 import (
@@ -27,14 +28,21 @@ type exchangeBuf[M any] struct {
 	inboxes [][]transport.Envelope[M]
 }
 
+// stagedBatch is one streamed batch awaiting FinishSuperstep.
+type stagedBatch[M any] struct {
+	to    transport.MachineID
+	batch []transport.Envelope[M]
+}
+
 // Transport is the loopback implementation of transport.Transport.
 type Transport[M any] struct {
 	k      int
 	closed bool
+	open   bool // BeginSuperstep called, FinishSuperstep pending
 
 	// bufs are the two inbox-buffer generations: gen selects the one the
-	// next Exchange assembles into, so the inboxes handed out by the
-	// previous call — and any envelopes still aliasing them — stay
+	// next FinishSuperstep assembles into, so the inboxes handed out by
+	// the previous call — and any envelopes still aliasing them — stay
 	// untouched while the current superstep is built.
 	bufs [2]exchangeBuf[M]
 	gen  int
@@ -42,23 +50,19 @@ type Transport[M any] struct {
 	counts []int // per-destination envelope counts / placement cursors
 	starts []int // prefix offsets of each inbox within flat
 
+	// staged[i] lists sender i's streamed batches in SendBatch order.
+	// SendBatch runs concurrently, one goroutine per sender, and each
+	// sender appends only to its own list, so no two goroutines write
+	// the same slot; the lists are truncated, not freed, by
+	// FinishSuperstep, keeping the steady state allocation-free.
+	staged [][]stagedBatch[M]
+
 	// Counter-only observability (see Counters): the loopback ships no
 	// physical bytes and records no frame spans, but counting its work
 	// gives instrumented runs a shape to compare across substrates.
-	// Atomics only because a debug plane may snapshot mid-run; Exchange
-	// itself is serial.
+	// Atomics only because a debug plane may snapshot mid-run;
+	// FinishSuperstep itself is serial.
 	exchanges, envelopes atomic.Int64
-
-	// Streaming-superstep staging (transport.Streamer): SendBatch runs
-	// concurrently, one goroutine per sender, so the staged batches are
-	// indexed [from*k+to] and each sender records the pairs it touched
-	// in its own list — no two goroutines ever write the same slot.
-	// FinishSuperstep folds the staged batches into the normal
-	// count-then-place assembly and resets the staging via the pair
-	// lists, keeping the steady state allocation-free.
-	streaming bool
-	staged    [][]transport.Envelope[M] // [from*k+to], nil when not staged
-	strPairs  [][]int32                 // per-sender list of staged destinations
 }
 
 // New returns a loopback transport for a k-machine cluster.
@@ -70,88 +74,23 @@ func New[M any](k int) *Transport[M] {
 		k:      k,
 		counts: make([]int, k),
 		starts: make([]int, k+1),
+		staged: make([][]stagedBatch[M], k),
 	}
-}
-
-// Exchange routes outs into per-destination inboxes. Iterating senders
-// in machine order makes inbox assembly deterministic and sender-ID
-// ordered, matching the Transport contract; the returned inboxes obey
-// the contract's ownership rule (valid until the second-following
-// Exchange). The loopback never blocks, so ctx is only checked once on
-// entry — a canceled run stops routing immediately but can never hang
-// here.
-func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
-	}
-	if t.closed {
-		return nil, fmt.Errorf("inmem: Exchange on closed transport (superstep %d)", step)
-	}
-	if len(outs) != t.k {
-		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(outs), t.k)
-	}
-
-	counts := t.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	total := 0
-	for i := range outs {
-		for j := range outs[i] {
-			to := outs[i][j].To
-			if to < 0 || int(to) >= t.k {
-				return nil, fmt.Errorf("inmem: envelope to invalid machine %d (superstep %d)", to, step)
-			}
-			counts[to]++
-		}
-		total += len(outs[i])
-	}
-
-	b := &t.bufs[t.gen]
-	t.gen ^= 1
-	if cap(b.flat) < total {
-		b.flat = make([]transport.Envelope[M], total)
-	}
-	flat := b.flat[:total]
-	if b.inboxes == nil {
-		b.inboxes = make([][]transport.Envelope[M], t.k)
-	}
-
-	starts := t.starts
-	starts[0] = 0
-	for j := 0; j < t.k; j++ {
-		starts[j+1] = starts[j] + counts[j]
-		counts[j] = starts[j] // reuse counts as the placement cursors
-	}
-	for i := range outs {
-		for j := range outs[i] {
-			to := outs[i][j].To
-			flat[counts[to]] = outs[i][j]
-			counts[to]++
-		}
-	}
-	for j := 0; j < t.k; j++ {
-		// Cap-limit each inbox so an append by a misbehaving caller
-		// cannot clobber its neighbour's envelopes.
-		b.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
-	}
-	t.exchanges.Add(1)
-	t.envelopes.Add(int64(total))
-	return b.inboxes, nil
 }
 
 // Counters is the loopback's counter-only observability: how many
-// Exchange barriers completed and how many envelopes they routed. It is
-// the loopback analogue of the socket substrate's frame counters — no
+// supersteps completed and how many envelopes they routed. It is the
+// loopback analogue of the socket substrate's frame counters — no
 // bytes, no timings (a slice shuffle has nothing worth timing), just
 // the shape — which is what lets substrate-equivalence tests assert
 // trace-shape parity: on identical runs, Exchanges here equals the
 // completed superstep count on tcp, and Envelopes the envelopes its
 // batches carried.
 type Counters struct {
-	// Exchanges counts completed Exchange calls (one per superstep).
+	// Exchanges counts completed FinishSuperstep calls (one per
+	// superstep).
 	Exchanges int64
-	// Envelopes counts every envelope routed across all exchanges.
+	// Envelopes counts every envelope routed across all supersteps.
 	Envelopes int64
 }
 
@@ -161,11 +100,10 @@ func (t *Transport[M]) Counters() Counters {
 	return Counters{Exchanges: t.exchanges.Load(), Envelopes: t.envelopes.Load()}
 }
 
-// CanStream implements transport.Streamer: the loopback always can.
-func (t *Transport[M]) CanStream() bool { return true }
-
-// BeginSuperstep implements transport.Streamer. There is no wire to
-// arm; it just opens the staging area for SendBatch.
+// BeginSuperstep implements transport.Transport. There is no wire to
+// arm; it just opens the staging area for SendBatch. The loopback never
+// blocks, so ctx is only checked here and in FinishSuperstep — a
+// canceled run stops routing immediately but can never hang here.
 func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
@@ -173,53 +111,43 @@ func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
 	if t.closed {
 		return fmt.Errorf("inmem: BeginSuperstep on closed transport (superstep %d)", step)
 	}
-	if t.staged == nil {
-		t.staged = make([][]transport.Envelope[M], t.k*t.k)
-		t.strPairs = make([][]int32, t.k)
-		for i := range t.strPairs {
-			t.strPairs[i] = make([]int32, 0, t.k)
-		}
-	}
-	t.streaming = true
+	t.open = true
 	return nil
 }
 
-// SendBatch implements transport.Streamer. It only stages the batch —
-// the caller owns the slice until FinishSuperstep, per the Streamer
-// contract, and the loopback copies envelopes out of it there. Safe for
-// concurrent calls with distinct senders: each sender goroutine writes
-// only its own staging slots and pair list.
+// SendBatch implements transport.Transport. It only stages the batch —
+// the caller owns the slice until FinishSuperstep, per the contract,
+// and the loopback copies envelopes out of it there. Safe for
+// concurrent calls with distinct senders.
 func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if !t.streaming {
-		return fmt.Errorf("inmem: SendBatch outside an open streaming superstep")
+	if !t.open {
+		return fmt.Errorf("inmem: SendBatch outside an open superstep")
 	}
 	if from < 0 || int(from) >= t.k || to < 0 || int(to) >= t.k || from == to {
 		return fmt.Errorf("inmem: SendBatch with invalid pair (%d -> %d)", from, to)
 	}
-	idx := int(from)*t.k + int(to)
-	if t.staged[idx] != nil {
-		return fmt.Errorf("inmem: duplicate SendBatch for pair (%d -> %d)", from, to)
+	for _, sb := range t.staged[from] {
+		if sb.to == to {
+			return fmt.Errorf("inmem: duplicate SendBatch for pair (%d -> %d)", from, to)
+		}
 	}
-	t.staged[idx] = batch
-	t.strPairs[from] = append(t.strPairs[from], int32(to))
+	t.staged[from] = append(t.staged[from], stagedBatch[M]{to: to, batch: batch})
 	return nil
 }
 
-// FinishSuperstep implements transport.Streamer: the same
-// count-then-place assembly as Exchange, with each sender's staged
-// batches taking the place of its (forbidden) rest envelopes for those
-// destinations. Iterating senders in machine order keeps inbox assembly
-// sender-ID ordered, so the result is byte-identical to an Exchange
-// carrying the same envelopes.
+// FinishSuperstep implements transport.Transport: count-then-place
+// assembly of every sender's staged batches and rest envelopes.
+// Iterating senders in machine order makes inbox assembly deterministic
+// and sender-ID ordered, and since a sender never mixes a staged batch
+// and rest envelopes for one destination, the result is identical
+// whichever schedule carried the envelopes.
 func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	defer func() {
-		for i := range t.strPairs {
-			for _, to := range t.strPairs[i] {
-				t.staged[i*t.k+int(to)] = nil
-			}
-			t.strPairs[i] = t.strPairs[i][:0]
+		for i := range t.staged {
+			clear(t.staged[i])
+			t.staged[i] = t.staged[i][:0]
 		}
-		t.streaming = false
+		t.open = false
 	}()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
@@ -227,7 +155,7 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 	if t.closed {
 		return nil, fmt.Errorf("inmem: FinishSuperstep on closed transport (superstep %d)", step)
 	}
-	if !t.streaming {
+	if !t.open {
 		return nil, fmt.Errorf("inmem: FinishSuperstep without BeginSuperstep (superstep %d)", step)
 	}
 	if len(rest) != t.k {
@@ -240,10 +168,9 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 	}
 	total := 0
 	for i := range rest {
-		for _, to := range t.strPairs[i] {
-			n := len(t.staged[i*t.k+int(to)])
-			counts[to] += n
-			total += n
+		for _, sb := range t.staged[i] {
+			counts[sb.to] += len(sb.batch)
+			total += len(sb.batch)
 		}
 		for j := range rest[i] {
 			to := rest[i][j].To
@@ -269,13 +196,12 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 	starts[0] = 0
 	for j := 0; j < t.k; j++ {
 		starts[j+1] = starts[j] + counts[j]
-		counts[j] = starts[j]
+		counts[j] = starts[j] // reuse counts as the placement cursors
 	}
 	for i := range rest {
-		for _, to := range t.strPairs[i] {
-			batch := t.staged[i*t.k+int(to)]
-			copy(flat[counts[to]:], batch)
-			counts[to] += len(batch)
+		for _, sb := range t.staged[i] {
+			copy(flat[counts[sb.to]:], sb.batch)
+			counts[sb.to] += len(sb.batch)
 		}
 		for j := range rest[i] {
 			to := rest[i][j].To
@@ -284,6 +210,8 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 		}
 	}
 	for j := 0; j < t.k; j++ {
+		// Cap-limit each inbox so an append by a misbehaving caller
+		// cannot clobber its neighbour's envelopes.
 		b.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
 	}
 	t.exchanges.Add(1)

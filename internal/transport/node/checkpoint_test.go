@@ -23,10 +23,13 @@ import (
 // ckMachine is a deterministic ring machine whose state exercises all
 // three restored quantities: the snapshot blob (sum), the RNG stream
 // (each superstep's payload is a fresh draw), and the stored inbox
-// (sums accumulate from delivered envelopes).
+// (sums accumulate from delivered envelopes). Under Streaming its one
+// envelope goes through core.EmitBatch, and streamed counts how many
+// batches the bound emitter accepted.
 type ckMachine struct {
-	self core.MachineID
-	sum  int64
+	self     core.MachineID
+	sum      int64
+	streamed int
 }
 
 const ckLastStep = 9
@@ -38,11 +41,16 @@ func (m *ckMachine) Step(ctx *core.StepContext, inbox []core.Envelope[failMsg]) 
 	if ctx.Superstep >= ckLastStep {
 		return nil, true
 	}
-	return []core.Envelope[failMsg]{{
+	batch := []core.Envelope[failMsg]{{
 		To:    core.MachineID((int(m.self) + 1) % ctx.K),
 		Words: 1,
 		Msg:   failMsg{X: int64(ctx.RNG.Uint64() % 1000)},
-	}}, false
+	}}
+	if core.EmitBatch(ctx, batch[0].To, batch) {
+		m.streamed++
+		return nil, false
+	}
+	return batch, false
 }
 
 func (m *ckMachine) SnapshotState(dst []byte) ([]byte, error) {
@@ -55,12 +63,20 @@ func (m *ckMachine) RestoreState(src []byte) error {
 	return c.Finish()
 }
 
-// runCkCluster executes the ring over RunLocal with the given
+// runCkCluster executes the lockstep ring over RunLocal with the given
 // checkpoint config, returning the Stats and every machine's final sum.
 func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int64) {
 	t.Helper()
+	stats, sums, _ := runCkClusterSched(t, k, false, ck)
+	return stats, sums
+}
+
+// runCkClusterSched is runCkCluster on either schedule; it also returns
+// how many batches the machines streamed through SendBatch.
+func runCkClusterSched(t *testing.T, k int, streaming bool, ck CheckpointConfig) (*core.Stats, []int64, int) {
+	t.Helper()
 	machines := make([]*ckMachine, k)
-	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
+	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Streaming: streaming, Checkpoint: ck}
 	stats, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
 		machines[id] = &ckMachine{self: id}
 		return machines[id]
@@ -69,10 +85,31 @@ func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int6
 		t.Fatal(err)
 	}
 	sums := make([]int64, k)
+	streamed := 0
 	for i, m := range machines {
 		sums[i] = m.sum
+		streamed += m.streamed
 	}
-	return stats, sums
+	return stats, sums, streamed
+}
+
+// ckSchedules are the two superstep schedules every checkpoint test
+// runs under; the lockstep golden is the oracle for both.
+var ckSchedules = []struct {
+	name      string
+	streaming bool
+}{{"lockstep", false}, {"streaming", true}}
+
+// checkStreamed asserts that a streaming arm really streamed and a
+// lockstep arm did not.
+func checkStreamed(t *testing.T, streaming bool, streamed int) {
+	t.Helper()
+	if streaming && streamed == 0 {
+		t.Error("streaming arm sent no batch through SendBatch")
+	}
+	if !streaming && streamed != 0 {
+		t.Errorf("lockstep arm streamed %d batches", streamed)
+	}
 }
 
 func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
@@ -87,15 +124,22 @@ func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
 }
 
 // TestNodeCheckpointedRunMatchesGolden: arming the checkpoint plane on
-// the node runtime must not perturb Stats or outputs, and the store
-// must end the run holding a complete (all k parts + coordinator
-// stats) checkpoint of a pre-final superstep.
+// the node runtime must not perturb Stats or outputs under either
+// schedule, and the store must end the run holding a complete (all k
+// parts + coordinator stats) checkpoint of a pre-final superstep.
 func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
+	for _, sc := range ckSchedules {
+		t.Run(sc.name, func(t *testing.T) { checkCheckpointedRun(t, sc.streaming) })
+	}
+}
+
+func checkCheckpointedRun(t *testing.T, streaming bool) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
 	store := NewCheckpointStore(k)
-	ckStats, ckSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store})
+	ckStats, ckSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Store: store})
+	checkStreamed(t, streaming, streamed)
 	sameCkStats(t, "checkpointed-vs-golden", ckStats, goldenStats)
 	for i := range goldenSums {
 		if ckSums[i] != goldenSums[i] {
@@ -120,15 +164,25 @@ func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 // prior run's store replay only the post-checkpoint tail, and the total
 // Stats and final outputs are bit-identical to the golden run — the
 // node-runtime half of the scheduler's resume-from-checkpoint protocol.
+// Under streaming both the capturing and the resumed run stream.
 func TestNodeResumeFromStoreDeterministic(t *testing.T) {
+	for _, sc := range ckSchedules {
+		t.Run(sc.name, func(t *testing.T) { checkResumeFromStore(t, sc.streaming) })
+	}
+}
+
+func checkResumeFromStore(t *testing.T, streaming bool) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
 	store := NewCheckpointStore(k)
-	if _, _ = runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store}); store.LatestComplete() < 0 {
+	_, _, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Store: store})
+	checkStreamed(t, streaming, streamed)
+	if store.LatestComplete() < 0 {
 		t.Fatal("no complete checkpoint to resume from")
 	}
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store, Resume: true})
+	resumedStats, resumedSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Store: store, Resume: true})
+	checkStreamed(t, streaming, streamed)
 	sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {

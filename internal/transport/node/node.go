@@ -62,21 +62,23 @@ type Config struct {
 	// tears the node down promptly with a wrapped context error. nil
 	// means Background.
 	Context context.Context
-	// SuperstepTimeout bounds each superstep's cross-machine phases
-	// (exchange, report, verdict): a peer process that crashes or
-	// wedges surfaces as a machine-attributed error within the timeout
-	// on every surviving node instead of hanging the cluster. 0 means
-	// no deadline. Happy-path Stats and outputs are unaffected. Under
-	// Streaming the deadline covers the whole superstep — begin,
-	// compute, finish — since the wire is active throughout.
+	// SuperstepTimeout bounds each superstep's cross-machine phases: the
+	// deadline covers BeginSuperstep through FinishSuperstep and the
+	// report/verdict round after it (under Streaming the superstep
+	// opens before compute, since the wire is active throughout). A
+	// peer process that crashes or wedges surfaces as a
+	// machine-attributed error within the timeout on every surviving
+	// node instead of hanging the cluster. 0 means no deadline.
+	// Happy-path Stats and outputs are unaffected.
 	SuperstepTimeout time.Duration
 	// Streaming opts this node into streaming supersteps: an emitter is
 	// bound into the machine's StepContext so core.EmitBatch hands
 	// finished per-peer batches to the endpoint mid-compute, and the
-	// superstep's exchange becomes a BeginSuperstep/FinishSuperstep
-	// pair. Purely a scheduling knob — reports, Stats, outputs, and
-	// golden hashes are bit-identical to the lockstep schedule. All
-	// nodes of a cluster must agree on it. Default off.
+	// endpoint's superstep opens before compute instead of right before
+	// the exchange. Purely a scheduling knob — reports, Stats, outputs,
+	// and golden hashes are bit-identical to the lockstep schedule, with
+	// or without Checkpoint. All nodes of a cluster must agree on it.
+	// Default off.
 	Streaming bool
 	// Recorder, when non-nil, receives wall-clock phase spans from this
 	// node's superstep loop — compute (the Step call), exchange (this
@@ -90,8 +92,7 @@ type Config struct {
 	Recorder obs.Recorder
 	// Checkpoint is the checkpoint/recovery policy (checkpoint.go). Off
 	// by default; when Every > 0 the machine must implement
-	// core.Snapshotter and Streaming is cleared (lockstep only — purely
-	// a scheduling knob, so Stats and hashes are unchanged).
+	// core.Snapshotter. Works under either schedule.
 	Checkpoint CheckpointConfig
 }
 
@@ -104,12 +105,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = 1 << 20
-	}
-	if cfg.Checkpoint.Every > 0 {
-		// Checkpoints capture at the lockstep superstep boundary;
-		// streaming is purely a scheduling knob (identical Stats and
-		// hashes), so clearing it is safe rather than an error.
-		cfg.Streaming = false
 	}
 	return nil
 }
@@ -278,9 +273,11 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	linkScratch := make([]int64, cfg.K) // per-superstep link row, reused
 	var repBuf []byte                   // report encode scratch, reused
 	ctx := &core.StepContext{Self: core.MachineID(cfg.ID), K: cfg.K, RNG: r}
-	var em *core.Emitter[M]
+	// The emitter is bound only under Streaming, so core.EmitBatch hands
+	// finished per-peer batches to the endpoint mid-compute; unbound it
+	// records nothing and the superstep is lockstep.
+	em := core.NewEmitter[M](ep, core.MachineID(cfg.ID), cfg.K)
 	if cfg.Streaming {
-		em = core.NewEmitter[M](epSender[M]{ep: ep}, core.MachineID(cfg.ID), cfg.K)
 		em.Bind(ctx)
 	}
 	for step := start; ; step++ {
@@ -298,23 +295,17 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			return coordStats(coord), fmt.Errorf("node: machine %d canceled before superstep %d: %w", cfg.ID, step, err)
 		}
 
-		// Under streaming the per-superstep deadline must already be
-		// running when the first eager batch hits the wire, so the
-		// superstep context is created here, around compute, instead of
-		// inside superstepRound; BeginSuperstep arms the endpoint (and
-		// releases its readers) before the Step call.
-		sctx := context.Context(nil)
+		// The superstep context, and its deadline, start when the
+		// endpoint's superstep opens: before compute when the emitter
+		// is bound (the first eager batch must already run under it),
+		// else right before the exchange.
+		em.Reset()
+		var sctx context.Context
 		var cancel context.CancelFunc
-		if em != nil {
-			sctx = runCtx
-			if cfg.SuperstepTimeout > 0 {
-				sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
-			}
-			em.Reset()
-			if err := ep.BeginSuperstep(sctx, step); err != nil {
-				if cancel != nil {
-					cancel()
-				}
+		if cfg.Streaming {
+			var err error
+			if sctx, cancel, err = beginSuperstep(cfg, ep, runCtx, step); err != nil {
+				cancel()
 				ep.Close()
 				return coordStats(coord), err
 			}
@@ -330,19 +321,15 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			cfg.Recorder.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 				Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseCompute})
 		}
-		if em != nil {
-			if err := em.Err(); err != nil {
-				// A failed eager send is a transport failure, not an
-				// algorithm error: the endpoint is (or is about to be)
-				// dead, so the report/verdict protocol cannot carry the
-				// news. Tear down and return the attributed error, like
-				// any other exchange failure.
-				if cancel != nil {
-					cancel()
-				}
-				ep.Close()
-				return coordStats(coord), fmt.Errorf("node: machine %d streaming emit failed in superstep %d: %w", cfg.ID, step, err)
-			}
+		if err := em.Err(); err != nil {
+			// A failed eager send is a transport failure, not an
+			// algorithm error: the endpoint is (or is about to be)
+			// dead, so the report/verdict protocol cannot carry the
+			// news. Tear down and return the attributed error, like
+			// any other exchange failure.
+			cancel()
+			ep.Close()
+			return coordStats(coord), fmt.Errorf("node: machine %d streaming emit failed in superstep %d: %w", cfg.ID, step, err)
 		}
 		for i := range linkScratch {
 			linkScratch[i] = 0
@@ -351,24 +338,28 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		if stepErr == nil {
 			stepErr = validateAndAccount(cfg, out, &rep, em, step)
 		}
-		if em != nil {
-			// Fold the eager emissions into the same report the rest
-			// envelopes filled: order-independent sums, so the
-			// coordinator's accounting is bit-identical to lockstep.
-			msgs, any := em.AccountInto(rep.linkWords)
-			rep.messages += msgs
-			rep.emitted = rep.emitted || any
-		}
+		// Fold the eager emissions into the same report the rest
+		// envelopes filled: order-independent sums, so the coordinator's
+		// accounting does not depend on the schedule.
+		msgs, any := em.AccountInto(rep.linkWords)
+		rep.messages += msgs
+		rep.emitted = rep.emitted || any
 		if stepErr != nil {
 			rep.err = stepErr.Error()
 			out = nil // still participate in the exchange so peers don't hang
 		}
 
 		repBuf = rep.appendEncode(repBuf[:0], step)
-		v, next, err := superstepRound(cfg, ep, coord, runCtx, sctx, step, repBuf, out, &rep)
-		if cancel != nil {
-			cancel()
+		var v verdict
+		var next []core.Envelope[M]
+		var err error
+		if sctx == nil {
+			sctx, cancel, err = beginSuperstep(cfg, ep, runCtx, step)
 		}
+		if err == nil {
+			v, next, err = superstepRound(cfg, ep, coord, sctx, step, repBuf, out)
+		}
+		cancel()
 		if err != nil {
 			// When the run context died mid-superstep the transport
 			// error is just the shrapnel of the teardown (closed
@@ -386,8 +377,9 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 				// Capture after the continue verdict: the coordinator's
 				// Stats already include this superstep, the RNG sits at
 				// its post-compute position, and inbox holds exactly the
-				// messages superstep step+1 consumes — so a resumed run
-				// re-enters at step+1 with nothing to re-account.
+				// messages superstep step+1 consumes — streamed batches
+				// included — so a resumed run re-enters at step+1 with
+				// nothing to re-account.
 				if err := captureNode(cfg, ckStore, step, r, snap, inbox, codec, coord); err != nil {
 					ep.Close()
 					return coordStats(coord), fmt.Errorf("node: machine %d checkpoint at superstep %d: %w", cfg.ID, step, err)
@@ -401,8 +393,20 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	}
 }
 
-// superstepRound runs the cross-machine phases of one superstep —
-// exchange, report, verdict — under one per-superstep deadline. The
+// beginSuperstep opens superstep step on the endpoint under a fresh
+// superstep context, which carries cfg.SuperstepTimeout when set. The
+// returned cancel is never nil; the caller calls it once the superstep
+// is over.
+func beginSuperstep[M any](cfg Config, ep *tcp.Endpoint[M], runCtx context.Context, step int) (context.Context, context.CancelFunc, error) {
+	sctx, cancel := runCtx, context.CancelFunc(func() {})
+	if cfg.SuperstepTimeout > 0 {
+		sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
+	}
+	return sctx, cancel, ep.BeginSuperstep(sctx, step)
+}
+
+// superstepRound runs the cross-machine phases of one opened superstep
+// — exchange, report, verdict — under its superstep context. The
 // failure protocol: a node whose Step failed still exchanges (an empty
 // batch) and carries the error in its report, so the coordinator learns
 // of it and broadcasts an abort verdict that every surviving machine
@@ -417,20 +421,7 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 // by runLoop, which is safe because the endpoint either writes it out
 // immediately or (on the coordinator) queues it only until the
 // CollectReports of this same superstep pops it.
-// Under streaming (sctx non-nil) the superstep context was created by
-// runLoop — it already covers the compute that streamed batches — and
-// the data-plane barrier is FinishSuperstep instead of Exchange.
-func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, runCtx, sctx context.Context, step int, repPayload []byte, out []core.Envelope[M], rep *report) (verdict, []core.Envelope[M], error) {
-	streaming := sctx != nil
-	if sctx == nil {
-		sctx = runCtx
-		if cfg.SuperstepTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
-			defer cancel()
-		}
-	}
-
+func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, sctx context.Context, step int, repPayload []byte, out []core.Envelope[M]) (verdict, []core.Envelope[M], error) {
 	// Phase spans mirror core's engine, but per node: the exchange span
 	// is this node's data-plane barrier (Machine = ID, not the cluster's
 	// -1 — each node performs its own), and the report/verdict control
@@ -441,13 +432,7 @@ func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, 
 	if rec != nil {
 		t0 = obs.Now()
 	}
-	var next []core.Envelope[M]
-	var err error
-	if streaming {
-		next, err = ep.FinishSuperstep(sctx, step, out)
-	} else {
-		next, err = ep.Exchange(sctx, step, out)
-	}
+	next, err := ep.FinishSuperstep(sctx, step, out)
 	if rec != nil {
 		rec.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 			Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
@@ -547,9 +532,9 @@ func stepSafely[M any](m core.Machine[M], ctx *core.StepContext, inbox []core.En
 
 // validateAndAccount mirrors core's per-envelope validation and
 // From-stamping, and fills the report's link-word vector (self links
-// are free, exactly like core). Under streaming (em non-nil) it also
-// enforces the no-mixing rule: a peer that already received a streamed
-// batch this superstep must not reappear in the rest envelopes.
+// are free, exactly like core). It also enforces the no-mixing rule: a
+// peer that already received a streamed batch this superstep must not
+// reappear in the rest envelopes.
 func validateAndAccount[M any](cfg Config, out []core.Envelope[M], rep *report, em *core.Emitter[M], step int) error {
 	for j := range out {
 		e := &out[j]
@@ -561,7 +546,7 @@ func validateAndAccount[M any](cfg Config, out []core.Envelope[M], rep *report, 
 		}
 		e.From = core.MachineID(cfg.ID)
 		if int(e.To) != cfg.ID {
-			if em != nil && em.EmittedTo(e.To) {
+			if em.EmittedTo(e.To) {
 				return fmt.Errorf("node: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", cfg.ID, e.To, step)
 			}
 			rep.linkWords[e.To] += int64(e.Words)
@@ -569,15 +554,6 @@ func validateAndAccount[M any](cfg Config, out []core.Envelope[M], rep *report, 
 		}
 	}
 	return nil
-}
-
-// epSender adapts a node's endpoint to the transport.BatchSender the
-// core emitter wants: every batch a node emits is its own, so `from` is
-// implied by the endpoint.
-type epSender[M any] struct{ ep *tcp.Endpoint[M] }
-
-func (s epSender[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	return s.ep.StreamBatch(to, batch)
 }
 
 // report is one node's per-superstep account to the coordinator.

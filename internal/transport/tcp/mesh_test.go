@@ -12,7 +12,7 @@ import (
 	"kmachine/internal/transport"
 )
 
-// jobExchange runs one superstep of Exchange concurrently on every
+// jobExchange runs one lockstep superstep concurrently on every
 // endpoint (the per-machine halves of one mesh), returning the per-
 // machine inboxes and errors.
 func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope[testMsg]) ([][]transport.Envelope[testMsg], []error) {
@@ -24,7 +24,7 @@ func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			inboxes[i], errs[i] = eps[i].Exchange(context.Background(), step, outs[i])
+			inboxes[i], errs[i] = exchange(eps[i], context.Background(), step, outs[i])
 		}(i)
 	}
 	wg.Wait()

@@ -43,14 +43,14 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 			{From: transport.MachineID(i), To: transport.MachineID((i + 1) % k), Words: 1, Msg: testMsg{Tag: int64(i)}},
 		}
 	}
-	if _, err := tr.Exchange(context.Background(), 0, outs); err != nil {
+	if _, err := exchange(tr, context.Background(), 0, outs); err != nil {
 		t.Fatal(err)
 	}
 	// Population after the first superstep: transport drivers + data
 	// workers + coordinator control readers, all persistent.
 	settled := runtime.NumGoroutine()
 	for step := 1; step <= 50; step++ {
-		if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
+		if _, err := exchange(tr, context.Background(), step, outs); err != nil {
 			t.Fatalf("superstep %d: %v", step, err)
 		}
 	}
@@ -67,8 +67,8 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 // frame count matches the protocol — exactly k·(k-1) data frames, one
 // per directed pair and empty batches included, with no control-plane
 // traffic — and byte totals grow monotonically with traffic. Both
-// superstep schedules are pinned: the lockstep Exchange and the
-// streaming BeginSuperstep/FinishSuperstep close.
+// superstep schedules are pinned: lockstep (nothing streamed) and
+// streaming (every peer's batch sent through SendBatch).
 func TestWireStatsCountsFrames(t *testing.T) {
 	const k = 3
 	ctx := context.Background()
@@ -77,14 +77,11 @@ func TestWireStatsCountsFrames(t *testing.T) {
 		run  func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error
 	}{
 		{"lockstep", func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
-			_, err := tr.Exchange(ctx, step, outs)
+			_, err := exchange(tr, ctx, step, outs)
 			return err
 		}},
 		{"streaming", func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
-			if err := tr.BeginSuperstep(ctx, step); err != nil {
-				return err
-			}
-			_, err := tr.FinishSuperstep(ctx, step, outs)
+			_, err := streamSuperstep(tr, ctx, step, outs, func(i, j int) bool { return true })
 			return err
 		}},
 	}
@@ -153,7 +150,7 @@ func TestWireV2ShipsFewerBytesThanV1(t *testing.T) {
 		r := rng.New(1234)
 		var history [][][]transport.Envelope[testMsg]
 		for step := 0; step < steps; step++ {
-			inboxes, err := tr.Exchange(context.Background(), step, randomOuts(r, k))
+			inboxes, err := exchange(tr, context.Background(), step, randomOuts(r, k))
 			if err != nil {
 				t.Fatalf("version 0x%02x superstep %d: %v", version, step, err)
 			}
@@ -212,7 +209,7 @@ func TestMixedWireVersionMesh(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i], errs[i] = eps[i].Exchange(context.Background(), step, outsT[i])
+				got[i], errs[i] = exchange(eps[i], context.Background(), step, outsT[i])
 			}(i)
 		}
 		wg.Wait()
@@ -221,7 +218,7 @@ func TestMixedWireVersionMesh(t *testing.T) {
 				t.Fatalf("superstep %d machine %d: %v", step, i, err)
 			}
 		}
-		want, err := lb.Exchange(context.Background(), step, outsL)
+		want, err := exchange(lb, context.Background(), step, outsL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,13 +256,13 @@ func TestControlOpsBeforeConnectFailFast(t *testing.T) {
 	if _, err := ep.CollectReports(context.Background(), 0); err == nil {
 		t.Error("CollectReports before Connect succeeded")
 	}
-	if _, err := ep.Exchange(context.Background(), 0, nil); err == nil {
-		t.Error("Exchange before Connect succeeded")
+	if _, err := exchange(ep, context.Background(), 0, nil); err == nil {
+		t.Error("superstep before Connect succeeded")
 	}
 }
 
-// TestExchangeAfterCloseFailsFast: the dispatch guard must turn an
-// Exchange on a closed transport into an immediate error instead of
+// TestExchangeAfterCloseFailsFast: the closed guard must turn a
+// superstep on a closed transport into an immediate error instead of
 // signalling workers that no longer exist (which would hang the
 // WaitGroup forever).
 func TestExchangeAfterCloseFailsFast(t *testing.T) {
@@ -277,15 +274,15 @@ func TestExchangeAfterCloseFailsFast(t *testing.T) {
 	tr.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.Exchange(context.Background(), 0, make([][]transport.Envelope[testMsg], k))
+		_, err := exchange(tr, context.Background(), 0, make([][]transport.Envelope[testMsg], k))
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Exchange on a closed transport succeeded")
+			t.Fatal("superstep on a closed transport succeeded")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Exchange on a closed transport hung")
+		t.Fatal("superstep on a closed transport hung")
 	}
 }

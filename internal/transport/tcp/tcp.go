@@ -12,9 +12,10 @@
 // data connection is owned by a long-lived worker goroutine — one
 // writer per outgoing peer, one reader per incoming peer — spawned once
 // when the mesh connects and parked on a signal channel between
-// supersteps. Exchange becomes signal → encode-in-parallel (each writer
-// serialises its own peer's batch into its own recycled buffer) →
-// decode-in-parallel (each reader decodes into its own recycled
+// supersteps. A superstep becomes signal → encode-in-parallel (each
+// writer serialises its own peer's batch into its own recycled buffer,
+// either mid-compute for a streamed batch or at FinishSuperstep for the
+// rest) → decode-in-parallel (each reader decodes into its own recycled
 // envelope scratch) → merge, with no goroutine spawned and no
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
@@ -111,9 +112,9 @@ type Endpoint[M any] struct {
 	ownQueue [][]byte // id==0: coordinator's loopback report queue
 
 	// Pipeline worker state, created once per endpoint lifetime. The
-	// channels carry at most one job (Exchange is a barrier, so a second
-	// superstep cannot be signalled before the first drains); workWG
-	// counts in-flight data jobs and ctrlWG in-flight coordinator report
+	// channels carry at most one job (FinishSuperstep is a barrier, so a
+	// second superstep cannot be signalled before the first drains);
+	// workWG counts in-flight data jobs and ctrlWG in-flight coordinator report
 	// reads. Worker failures land in the cause/shrapnel pairs below —
 	// all hoisted out of the per-call path, so a steady-state superstep
 	// allocates nothing.
@@ -124,7 +125,7 @@ type Endpoint[M any] struct {
 	workWG   sync.WaitGroup
 	ctrlWG   sync.WaitGroup
 
-	// Worker error state, reset per dispatch and guarded by mu. The
+	// Worker error state, reset per superstep and guarded by mu. The
 	// FIRST-ARRIVING genuine error wins (cause), because causality on a
 	// failing mesh is temporal: the machine that died emits its FIN
 	// before the cascade of peer teardowns it triggers, so a
@@ -132,11 +133,11 @@ type Endpoint[M any] struct {
 	// EOF happened to sit in an earlier slot. net.ErrClosed failures —
 	// shrapnel of our own cascade close — are kept apart and reported
 	// only when no genuine cause surfaced.
-	cause, shrapnel         error // data path (Exchange)
+	cause, shrapnel         error // data path (supersteps)
 	ctrlCause, ctrlShrapnel error // control path (CollectReports)
 
 	// Per-superstep scratch, recycled across calls (the transport
-	// ownership rule). perDest/tx/frame/rx are dead once Exchange
+	// ownership rule). perDest/tx/frame/rx are dead once FinishSuperstep
 	// returns and are single-buffered; the assembled inbox is handed to
 	// the caller and double-buffered so the previous superstep's
 	// envelopes survive while the next one is built. reports/ctrlFrame
@@ -151,31 +152,32 @@ type Endpoint[M any] struct {
 	gen     int
 
 	// txSrc[j] is what peer j's writer worker encodes this superstep:
-	// the recycled perDest[j] split on the lockstep path, or the
-	// machine's own eagerly-streamed batch slice on the streaming path
-	// (which the Streamer contract keeps immutable until FinishSuperstep
-	// returns). A separate indirection — instead of storing streamed
-	// batches into perDest — so the next superstep's perDest[j][:0]
-	// recycling can never append into machine-owned memory.
+	// the recycled perDest[j] split of the rest envelopes, or the
+	// machine's own streamed batch slice (which the transport contract
+	// keeps immutable until FinishSuperstep returns). A separate
+	// indirection — instead of storing streamed batches into perDest —
+	// so the next superstep's perDest[j][:0] recycling can never append
+	// into machine-owned memory.
 	txSrc [][]transport.Envelope[M]
 
-	// Streaming-superstep state (the endpoint-level half of
-	// transport.Streamer; the cluster Transport composes k of these).
-	// Guarded by mu where concurrent with StreamBatch; the
+	// The open superstep (the endpoint-level half of
+	// transport.Transport; the cluster Transport composes k of these).
+	// Guarded by mu where concurrent with SendBatch; the
 	// Begin→drive→Finish handoff provides the rest of the ordering.
-	strEmitted []bool      // peers already streamed to this superstep
-	strOn      bool        // BeginSuperstep called, FinishSuperstep pending
-	strStep    int         // the open superstep
-	strDl      time.Time   // its I/O deadline
-	strRelease func() bool // its ioGuard release, disarmed by Finish
+	sentEager  []bool      // peers already streamed to this superstep
+	open       bool        // BeginSuperstep called, FinishSuperstep pending
+	step       int         // the open superstep
+	dl         time.Time   // its I/O deadline
+	release    func() bool // its ioGuard release, disarmed by Finish
+	readersOut bool        // reader workers released for it
 
 	// serialWriters, sampled at construction, records that the process
 	// has a single execution core (GOMAXPROCS=1): parallel writer workers
 	// then cannot overlap with anything, and every wakeup is a pure
-	// scheduling tax, so the inline serial-write paths (Exchange,
-	// StreamBatch, FinishSuperstep) are taken unconditionally. Readers
-	// stay parallel regardless — a read is mostly netpoll parking, which
-	// costs no core while it waits.
+	// scheduling tax, so the inline serial-write paths (SendBatch,
+	// FinishSuperstep) are taken unconditionally. Readers stay parallel
+	// regardless — a read is mostly netpoll parking, which costs no core
+	// while it waits.
 	serialWriters bool
 	reports       [][]byte // id==0: assembled CollectReports result
 	ctrlFrame     [][]byte // id==0: per-peer control read buffers
@@ -190,13 +192,13 @@ type Endpoint[M any] struct {
 
 	// rec, when non-nil, receives per-frame telemetry spans from the
 	// pipeline workers (obs.PhaseFrameWrite/Read/Decode). Set via
-	// SetRecorder before the first Exchange; read without
+	// SetRecorder before the first superstep; read without
 	// synchronisation on the hot paths.
 	rec obs.Recorder
 
-	// mu serialises job dispatch against Close so a send can never race
-	// the closing of a signal channel (see dispatch), and closed gates
-	// Exchange/CollectReports on an endpoint that is already torn down.
+	// mu serialises job signalling against Close so a send can never
+	// race the closing of a signal channel, and closed gates supersteps
+	// and CollectReports on an endpoint that is already torn down.
 	mu        sync.Mutex
 	closed    bool
 	closeOnce sync.Once
@@ -215,7 +217,7 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		frame:       make([][]byte, k),
 		rx:          make([][]transport.Envelope[M], k),
 		txSrc:       make([][]transport.Envelope[M], k),
-		strEmitted:  make([]bool, k),
+		sentEager:   make([]bool, k),
 		wirePeers:   make([]peerWire, k),
 
 		serialWriters: runtime.GOMAXPROCS(0) == 1,
@@ -267,7 +269,7 @@ type peerWire struct {
 // wire.BatchV2 (the default) or wire.BatchV1 for the legacy layout.
 // Readers accept both regardless, so endpoints of different versions
 // interoperate in one mesh. Call it after Connect and before the first
-// Exchange; it must not be changed mid-run.
+// superstep; it must not be changed mid-run.
 func (e *Endpoint[M]) SetWireVersion(v byte) error {
 	if v != wire.BatchV1 && v != wire.BatchV2 {
 		return fmt.Errorf("tcp: unknown wire version 0x%02x", v)
@@ -302,7 +304,7 @@ func (e *Endpoint[M]) WireStats() transport.WireStats {
 
 // SetRecorder installs the telemetry recorder the pipeline workers
 // record frame spans into (implements the transport.TraceSink shape at
-// the endpoint level). Must be called before the first Exchange; nil
+// the endpoint level). Must be called before the first superstep; nil
 // (the default) keeps the workers on their span-free path.
 func (e *Endpoint[M]) SetRecorder(r obs.Recorder) { e.rec = r }
 
@@ -363,10 +365,10 @@ func (e *Endpoint[M]) startPipeline() {
 // pipeWorker is the body of every persistent pipeline goroutine: run
 // one job per signal, park in between, exit when the signal channel
 // closes. The park is a bare channel receive — no select — because the
-// channel doubles as the quit signal: the dispatch/Close mutex
+// channel doubles as the quit signal: the signal/Close mutex
 // guarantees no send can follow the close, and a job already buffered
 // when Close fires is still delivered before the closed-channel zero
-// value, so the dispatcher's WaitGroup always drains (the job's I/O
+// value, so the signaller's WaitGroup always drains (the job's I/O
 // fails fast on the closed connections).
 func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, wg *sync.WaitGroup, run func(pipeJob)) {
 	for job := range ch {
@@ -600,50 +602,6 @@ func (e *Endpoint[M]) runCtrlReader(j int, job pipeJob) {
 	e.reports[j] = frame
 }
 
-// dispatch signals one superstep to the parked pipeline workers. The
-// mutex makes the signal atomic with respect to Close: either every
-// worker receives its job before quit can fire (and the drain in
-// pipeWorker guarantees completion), or the endpoint is already closed
-// and no job is sent at all.
-//
-// With inlineWriters set, only the readers are signalled — the caller
-// runs the writers serially on its own goroutine afterwards (the
-// tiny-superstep path, see Exchange). Signal order rotates with the
-// superstep: machine i starts its sweep at peer (i+step) mod k, so the
-// k machines do not all hammer peer 0's sockets first every superstep.
-func (e *Endpoint[M]) dispatch(step int, dl time.Time, inlineWriters bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("tcp: machine %d exchange on closed endpoint (superstep %d): %w", e.id, step, net.ErrClosed)
-	}
-	if !e.started {
-		return fmt.Errorf("tcp: machine %d exchange before Connect (superstep %d)", e.id, step)
-	}
-	e.cause, e.shrapnel = nil, nil
-	job := pipeJob{step: step, dl: dl}
-	if inlineWriters {
-		e.workWG.Add(e.k - 1)
-	} else {
-		e.workWG.Add(2 * (e.k - 1))
-		// Writers are released before any reader: on a loaded machine
-		// the scheduler then tends to ship our outgoing frames before
-		// the readers poll, so reads find their peer's data already
-		// buffered instead of parking in netpoll first.
-		for o := 0; o < e.k; o++ {
-			if j := (e.id + step + o) % e.k; j != e.id {
-				e.writerCh[j] <- job
-			}
-		}
-	}
-	for o := 0; o < e.k; o++ {
-		if j := (e.id + step + o) % e.k; j != e.id {
-			e.readerCh[j] <- job
-		}
-	}
-	return nil
-}
-
 // ioGuard applies ctx to the endpoint's blocking socket I/O. It returns
 // the connection deadline to install before each read/write (zero when
 // ctx has none, which clears any deadline left by a previous superstep)
@@ -695,85 +653,6 @@ func (e *Endpoint[M]) attrib(peer, step int, err error) error {
 	return me
 }
 
-// Exchange ships this machine's superstep batch to every peer and
-// collects the peers' batches: one frame per directed pair, empty
-// batches included. Self-addressed envelopes never touch a socket. The
-// returned inbox is assembled in sender-ID order, self-addressed
-// envelopes at position e.id, exactly like the loopback transport.
-//
-// The call is one pipeline generation: split the outbox per
-// destination, signal the parked workers (each writer encodes and ships
-// its own peer's batch concurrently; each reader receives and decodes
-// concurrently), wait for the generation to drain, then merge the
-// per-sender batches into the inbox.
-//
-// ctx bounds the whole superstep: its deadline is installed on every
-// connection before I/O, so a dead or wedged peer surfaces as a
-// *transport.MachineError (wrapping os.ErrDeadlineExceeded) within the
-// deadline, and cancellation tears the endpoint down, unblocking every
-// parked read. After any error the endpoint is closed and unusable.
-func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	perDest := e.perDest
-	for j := range perDest {
-		perDest[j] = perDest[j][:0]
-	}
-	for _, env := range out {
-		if env.To < 0 || int(env.To) >= e.k {
-			e.Close() // peers are waiting on our batch; unblock them
-			return nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
-		}
-		perDest[env.To] = append(perDest[env.To], env)
-	}
-	remote := 0
-	for j := range perDest {
-		e.txSrc[j] = perDest[j]
-		if j != e.id {
-			remote += len(perDest[j])
-		}
-	}
-
-	// Tiny supersteps skip the writer wakeups: when the whole outbox is
-	// at most ~2 envelopes per peer, encoding is trivial and the cost of
-	// signalling k-1 parked goroutines dominates shipping k-1
-	// few-byte frames (the k=16/batch=1 regression of the parallel
-	// pipeline). Write them serially on this goroutine instead — each
-	// connection's buffered writer still coalesces prefix+payload into
-	// one flush/syscall — while the readers stay parallel. A GOMAXPROCS=1
-	// process takes this path for every superstep: with one core the
-	// parallel writers can't overlap anyway, so the wakeups are all tax.
-	inline := e.serialWriters || remote <= 2*e.k
-	if err := e.dispatch(step, dl, inline); err != nil {
-		return nil, err
-	}
-	if inline {
-		job := pipeJob{step: step, dl: dl}
-		for o := 0; o < e.k; o++ {
-			if j := (e.id + step + o) % e.k; j != e.id {
-				e.runWriter(j, job)
-			}
-		}
-	}
-	e.workWG.Wait()
-
-	// Report the error that diagnoses the failure, not the teardown:
-	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
-	// expired deadline) apart from the net.ErrClosed shrapnel of our own
-	// cascade close, so the genuine cause — which names the actual
-	// culprit — wins whenever one exists. The workWG barrier above is
-	// the happens-before edge that makes the plain reads safe.
-	if err := e.cause; err != nil {
-		return nil, err
-	}
-	if err := e.shrapnel; err != nil {
-		return nil, err
-	}
-	return e.mergeInbox(), nil
-}
-
 // mergeInbox assembles the superstep's inbox in sender-ID order into
 // the double-buffered storage: the previous superstep's inbox (the
 // other generation) is still readable by the caller per the ownership
@@ -803,70 +682,92 @@ func (e *Endpoint[M]) mergeInbox() []transport.Envelope[M] {
 	return inbox
 }
 
-// BeginSuperstep opens streaming superstep `step` on this endpoint: the
-// per-superstep failure state is reset and every reader worker is
-// released immediately, so incoming batch frames are received and
-// decoded as peers produce them — during this machine's own compute —
-// instead of waiting for the finish barrier. The per-machine half of
-// the transport.Streamer contract; StreamBatch and FinishSuperstep
-// complete it.
+// BeginSuperstep opens superstep `step` on this endpoint: it arms the
+// superstep's deadline and cancellation guard and resets the
+// per-superstep failure state. No I/O starts here. The reader workers
+// are released lazily — at the first SendBatch, or else in
+// FinishSuperstep — so a superstep that streams nothing releases them
+// in exactly the order a lockstep exchange needs, and readers never
+// sit parked in netpoll through a compute phase that sends nothing.
 func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 	dl, release := e.ioGuard(ctx)
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return fmt.Errorf("tcp: machine %d begin superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
+	var err error
+	switch {
+	case e.closed:
+		err = fmt.Errorf("tcp: machine %d begin superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
+	case !e.started:
+		err = fmt.Errorf("tcp: machine %d begin superstep %d before Connect", e.id, step)
+	case e.open:
+		err = fmt.Errorf("tcp: machine %d begin superstep %d with superstep %d still open", e.id, step, e.step)
 	}
-	if !e.started {
+	if err != nil {
 		e.mu.Unlock()
 		if release != nil {
 			release()
 		}
-		return fmt.Errorf("tcp: machine %d begin superstep %d before Connect", e.id, step)
-	}
-	if e.strOn {
-		e.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return fmt.Errorf("tcp: machine %d begin superstep %d with superstep %d still open", e.id, step, e.strStep)
+		return err
 	}
 	e.cause, e.shrapnel = nil, nil
-	for j := range e.strEmitted {
-		e.strEmitted[j] = false
-	}
-	e.strOn, e.strStep, e.strDl, e.strRelease = true, step, dl, release
-	job := pipeJob{step: step, dl: dl}
-	e.workWG.Add(e.k - 1)
-	for o := 0; o < e.k; o++ {
-		if j := (e.id + step + o) % e.k; j != e.id {
-			e.readerCh[j] <- job
-		}
-	}
+	clear(e.sentEager)
+	e.open, e.step, e.dl, e.release, e.readersOut = true, step, dl, release, false
 	e.mu.Unlock()
 	return nil
 }
 
-// streamInlineMax is the batch size at or below which StreamBatch
+// releaseReadersLocked signals every reader worker for the open
+// superstep, once. Signal order rotates with the superstep: machine i
+// starts its sweep at peer (i+step) mod k, so the k machines do not all
+// hammer peer 0's sockets first every superstep. Caller holds e.mu.
+func (e *Endpoint[M]) releaseReadersLocked() {
+	if e.readersOut {
+		return
+	}
+	e.readersOut = true
+	job := pipeJob{step: e.step, dl: e.dl}
+	e.workWG.Add(e.k - 1)
+	for o := 0; o < e.k; o++ {
+		if j := (e.id + e.step + o) % e.k; j != e.id {
+			e.readerCh[j] <- job
+		}
+	}
+}
+
+// armReaders releases the reader workers of the open superstep if
+// SendBatch has not already done so; a no-op on a closed endpoint or
+// outside a superstep.
+func (e *Endpoint[M]) armReaders() {
+	e.mu.Lock()
+	if e.open && !e.closed {
+		e.releaseReadersLocked()
+	}
+	e.mu.Unlock()
+}
+
+// streamInlineMax is the batch size at or below which SendBatch
 // writes the frame on the calling goroutine instead of waking the
 // peer's parked writer worker: for a couple of envelopes the encode is
 // a handful of stores and the wakeup costs more than the write (the
-// same economics as Exchange's tiny-superstep path).
+// same economics as FinishSuperstep's tiny-superstep path).
 const streamInlineMax = 2
 
-// StreamBatch hands peer `to`'s finished batch to its parked writer
+// SendBatch hands peer `to`'s finished batch to its parked writer
 // worker right now — mid-compute — which encodes and ships it while the
-// superstep's remaining work continues. Tiny batches (and every batch
-// on a single-core process) are instead written inline on the calling
+// superstep's remaining work continues; it makes the endpoint a
+// transport.BatchSender for its own machine, `from`. The first
+// SendBatch of a superstep also releases the reader workers, so
+// incoming frames are decoded as peers produce them. Tiny batches (and every batch on a
+// single-core process) are instead written inline on the calling
 // goroutine — still mid-compute, so the wire is busy during the
 // superstep either way; what varies is only who pays for the encode.
 // The batch slice stays readable by the endpoint until FinishSuperstep
-// returns (the Streamer ownership rule); envelopes arrive pre-validated
-// and From-stamped from core. At most one batch per peer per superstep.
-func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Envelope[M]) error {
+// returns (the transport ownership rule); envelopes arrive
+// pre-validated and From-stamped from core. At most one batch per peer
+// per superstep.
+func (e *Endpoint[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
+	if int(from) != e.id {
+		return fmt.Errorf("tcp: machine %d cannot send machine %d's batch", e.id, from)
+	}
 	e.mu.Lock()
 	if e.closed {
 		// Prefer the attributed failure that closed us (a reader's
@@ -882,21 +783,22 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 		}
 		return fmt.Errorf("tcp: machine %d stream batch on closed endpoint: %w", e.id, net.ErrClosed)
 	}
-	if !e.strOn {
+	if !e.open {
 		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d StreamBatch outside an open streaming superstep", e.id)
+		return fmt.Errorf("tcp: machine %d SendBatch outside an open superstep", e.id)
 	}
 	if int(to) < 0 || int(to) >= e.k || int(to) == e.id {
 		e.mu.Unlock()
 		return fmt.Errorf("tcp: machine %d cannot stream batch to machine %d", e.id, to)
 	}
-	if e.strEmitted[to] {
+	if e.sentEager[to] {
 		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d streamed two batches to machine %d in superstep %d", e.id, to, e.strStep)
+		return fmt.Errorf("tcp: machine %d streamed two batches to machine %d in superstep %d", e.id, to, e.step)
 	}
-	e.strEmitted[to] = true
+	e.releaseReadersLocked()
+	e.sentEager[to] = true
 	e.txSrc[to] = batch
-	job := pipeJob{step: e.strStep, dl: e.strDl}
+	job := pipeJob{step: e.step, dl: e.dl}
 	if e.serialWriters || len(batch) <= streamInlineMax {
 		// Inline write, off the mutex: the write may block on a full
 		// socket buffer, and holding mu there would stall a concurrent
@@ -923,19 +825,26 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 
 // finishGuard disarms the cancellation guard BeginSuperstep armed.
 func (e *Endpoint[M]) finishGuard() {
-	if r := e.strRelease; r != nil {
-		e.strRelease = nil
+	if r := e.release; r != nil {
+		e.release = nil
 		r()
 	}
 }
 
-// FinishSuperstep closes streaming superstep `step`: it ships `out` —
-// the envelopes NOT streamed eagerly (self-addressed ones included; a
-// peer that already got a streamed batch must not reappear here) — on
-// the remaining writer workers, waits for the whole pipeline generation
-// (eager readers, streamed writers, rest writers) to drain, and merges
-// the inbox exactly like Exchange. It is the streaming superstep's
-// barrier and carries the Exchange failure contract.
+// FinishSuperstep closes superstep `step`: it ships `out` — the
+// envelopes NOT streamed eagerly (self-addressed ones included; a peer
+// that already got a streamed batch must not reappear here) — one frame
+// per remaining peer, empty batches included, waits for the whole
+// pipeline generation (readers, streamed writers, rest writers) to
+// drain, and merges the peers' batches into the inbox in sender-ID
+// order, self-addressed envelopes at position e.id, exactly like the
+// loopback transport. Self-addressed envelopes never touch a socket.
+//
+// The superstep's deadline, installed on every connection before I/O,
+// was armed by BeginSuperstep: a dead or wedged peer surfaces as a
+// *transport.MachineError (wrapping os.ErrDeadlineExceeded) within it,
+// and cancellation tears the endpoint down, unblocking every parked
+// read. After any error the endpoint is closed and unusable.
 func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
 	_ = ctx // the superstep's guard/deadline were armed by BeginSuperstep
 	perDest := e.perDest
@@ -952,19 +861,19 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 	}
 
 	e.mu.Lock()
-	if !e.strOn || e.strStep != step {
-		open, openStep := e.strOn, e.strStep
+	if !e.open || e.step != step {
+		open, openStep := e.open, e.step
 		e.mu.Unlock()
 		e.finishGuard()
 		e.Close()
 		return nil, fmt.Errorf("tcp: machine %d finish superstep %d without matching begin (open=%v step=%d)", e.id, step, open, openStep)
 	}
-	e.strOn = false
+	e.open = false
 	if e.closed {
 		// A mid-compute failure (a reader's verdict, a peer's blame
-		// frame, a StreamBatch hitting dead sockets) already tore the
-		// endpoint down. The eager jobs drain against the closed conns;
-		// report the recorded cause, never a merged inbox.
+		// frame, a SendBatch hitting dead sockets) already tore the
+		// endpoint down. Any released jobs drain against the closed
+		// conns; report the recorded cause, never a merged inbox.
 		e.mu.Unlock()
 		e.workWG.Wait()
 		e.finishGuard()
@@ -979,13 +888,13 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 		}
 		return nil, err
 	}
-	job := pipeJob{step: step, dl: e.strDl}
+	job := pipeJob{step: step, dl: e.dl}
 	pending, rest := 0, 0
 	for j := 0; j < e.k; j++ {
 		if j == e.id {
 			continue
 		}
-		if e.strEmitted[j] {
+		if e.sentEager[j] {
 			if len(perDest[j]) > 0 {
 				e.mu.Unlock()
 				e.finishGuard()
@@ -998,30 +907,39 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 		pending++
 		rest += len(perDest[j])
 	}
-	// Same inline-writer economics as Exchange: a tiny remainder (the
-	// common case when the machines streamed their batches eagerly) is
-	// written serially on this goroutine rather than waking the parked
-	// writers. strEmitted is stable here — StreamBatch only runs while
-	// the superstep computes, which happens-before FinishSuperstep.
+	// Tiny remainders skip the writer wakeups: when the rest is at most
+	// ~2 envelopes per peer, encoding is trivial and the cost of
+	// signalling k-1 parked goroutines dominates shipping k-1 few-byte
+	// frames (the k=16/batch=1 regression of the parallel pipeline).
+	// Write them serially on this goroutine instead — each connection's
+	// buffered writer still coalesces prefix+payload into one
+	// flush/syscall — while the readers stay parallel. A GOMAXPROCS=1
+	// process takes this path for every superstep: with one core the
+	// parallel writers can't overlap anyway, so the wakeups are all tax.
+	// sentEager is stable here — SendBatch only runs while the
+	// superstep computes, which happens-before FinishSuperstep.
 	inline := e.serialWriters || rest <= 2*e.k
 	if !inline {
+		// Writers are released before any reader still parked: on a
+		// loaded machine the scheduler then tends to ship our outgoing
+		// frames before the readers poll, so reads find their peer's
+		// data already buffered instead of parking in netpoll first.
 		e.workWG.Add(pending)
 		for o := 0; o < e.k; o++ {
 			j := (e.id + step + o) % e.k
-			if j == e.id || e.strEmitted[j] {
-				continue
+			if j != e.id && !e.sentEager[j] {
+				e.writerCh[j] <- job
 			}
-			e.writerCh[j] <- job
 		}
 	}
+	e.releaseReadersLocked()
 	e.mu.Unlock()
 	if inline {
 		for o := 0; o < e.k; o++ {
 			j := (e.id + step + o) % e.k
-			if j == e.id || e.strEmitted[j] {
-				continue
+			if j != e.id && !e.sentEager[j] {
+				e.runWriter(j, job)
 			}
-			e.runWriter(j, job)
 		}
 	}
 
@@ -1030,9 +948,13 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 	// Streamed batch slices are machine-owned; drop the references now
 	// that their writers are done, honouring the "must not retain"
 	// ownership rule.
-	for j := range e.txSrc {
-		e.txSrc[j] = nil
-	}
+	clear(e.txSrc)
+	// Report the error that diagnoses the failure, not the teardown:
+	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
+	// expired deadline) apart from the net.ErrClosed shrapnel of our own
+	// cascade close, so the genuine cause — which names the actual
+	// culprit — wins whenever one exists. The workWG barrier above is
+	// the happens-before edge that makes the plain reads safe.
 	if err := e.cause; err != nil {
 		return nil, err
 	}
@@ -1180,8 +1102,8 @@ func (e *Endpoint[M]) ReceiveVerdict(ctx context.Context) ([]byte, error) {
 }
 
 // retireWorkers closes every pipeline signal channel, run at most once
-// (via closeOnce) by Detach or Close. No dispatch can race it: the
-// caller set closed under mu first, dispatch sends only while holding
+// (via closeOnce) by Detach or Close. No signal can race it: the
+// caller set closed under mu first, signals are sent only while holding
 // mu with closed unset, and buffered jobs survive a channel close, so
 // in-flight supersteps still drain.
 func (e *Endpoint[M]) retireWorkers() {
@@ -1277,12 +1199,11 @@ func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) 
 }
 
 // driveJob is one superstep's assignment for a cluster-side endpoint
-// driver: exchange (or finish streaming) this outbox under this context.
+// driver: finish this superstep with this outbox under this context.
 type driveJob[M any] struct {
-	ctx    context.Context
-	step   int
-	out    []transport.Envelope[M]
-	finish bool // close a streaming superstep instead of a lockstep exchange
+	ctx  context.Context
+	step int
+	out  []transport.Envelope[M]
 }
 
 // Transport is the cluster-side transport.Transport implementation: all
@@ -1290,10 +1211,10 @@ type driveJob[M any] struct {
 // loopback TCP connection. Each endpoint is owned by a persistent driver
 // goroutine, signalled once per superstep — no goroutine or error-slice
 // churn on the steady-state path. A superstep ends when all k drivers
-// have returned: an endpoint exchange returns only after its k-1 readers
-// have received and checked their peer's frame for that superstep
-// (empty batches included), so the drivers' WaitGroup is already the
-// observation barrier and no control-plane round is needed.
+// have returned: an endpoint's FinishSuperstep returns only after its
+// k-1 readers have received and checked their peer's frame for that
+// superstep (empty batches included), so the drivers' WaitGroup is
+// already the observation barrier and no control-plane round is needed.
 type Transport[M any] struct {
 	eps []*Endpoint[M]
 	// inboxes are the double-buffered outer slices handed to the
@@ -1306,6 +1227,10 @@ type Transport[M any] struct {
 	wg      sync.WaitGroup
 	errs    []error
 	results [][]transport.Envelope[M]
+
+	// streamed is set by the superstep's first SendBatch, which then
+	// releases the readers of every endpoint, not only the sender's.
+	streamed atomic.Bool
 
 	mu        sync.Mutex
 	closed    bool
@@ -1343,54 +1268,80 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 }
 
 // driver is the persistent goroutine owning endpoint i: one endpoint
-// exchange per signal, parked in between, exits when Close closes its
-// channel. The same close-under-mutex discipline as the endpoint's
-// pipeWorker keeps the WaitGroup sound against a concurrent Close.
+// FinishSuperstep per signal, parked in between, exits when Close
+// closes its channel. The same close-under-mutex discipline as the
+// endpoint's pipeWorker keeps the WaitGroup sound against a concurrent
+// Close. On error the endpoint has already closed itself; the close
+// cascades error returns to every peer blocked on its connections, so
+// no driver hangs.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		t.runStep(i, job)
+		t.results[i], t.errs[i] = t.eps[i].FinishSuperstep(job.ctx, job.step, job.out)
 		t.wg.Done()
 	}
 }
 
-// runStep runs one endpoint's half of a superstep. On error the
-// endpoint has already closed itself; the close cascades error returns
-// to every peer blocked on its connections, so no driver hangs.
-func (t *Transport[M]) runStep(i int, job driveJob[M]) {
-	if job.finish {
-		t.results[i], t.errs[i] = t.eps[i].FinishSuperstep(job.ctx, job.step, job.out)
-	} else {
-		t.results[i], t.errs[i] = t.eps[i].Exchange(job.ctx, job.step, job.out)
+// BeginSuperstep implements transport.Transport: it opens the superstep
+// on every endpoint, arming the per-superstep deadline guards. Endpoints
+// are opened serially under the transport mutex — the same t.mu→e.mu
+// lock order as Close — which is cheap (no I/O happens in an endpoint
+// BeginSuperstep) and gives SendBatch a consistent "all open" view.
+func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return fmt.Errorf("tcp: begin superstep %d on closed transport: %w", step, net.ErrClosed)
 	}
+	t.streamed.Store(false)
+	for i, e := range t.eps {
+		if err := e.BeginSuperstep(ctx, step); err != nil {
+			return fmt.Errorf("tcp: machine %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
-// Exchange implements transport.Transport: each endpoint ships its
-// batch over its sockets concurrently (signalled to the persistent
-// drivers), and no inbox is released to the cluster before every
-// endpoint has received all of its peers' frames. ctx bounds the whole
-// superstep on every endpoint.
-func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	return t.runAll(ctx, step, outs, false)
+// SendBatch implements transport.Transport: machine from's eager batch
+// for machine to goes straight to from's endpoint, which hands it to
+// the parked writer worker for that peer. Called concurrently from the
+// machines' compute goroutines (distinct senders), per the contract;
+// each endpoint serialises its own state under its own mutex, so no
+// transport-level lock is needed — or wanted, it would serialise the
+// very sends streaming exists to overlap.
+//
+// The superstep's first SendBatch releases the readers of every
+// endpoint. All k machines share one compute barrier here, so a
+// receiver whose readers waited for its own FinishSuperstep would not
+// drain a sender whose inline write filled the socket buffer, and the
+// sender's compute would never reach that barrier.
+func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
+	if int(from) < 0 || int(from) >= len(t.eps) {
+		return fmt.Errorf("tcp: SendBatch from invalid machine %d", from)
+	}
+	if !t.streamed.Load() && t.streamed.CompareAndSwap(false, true) {
+		for _, e := range t.eps {
+			e.armReaders()
+		}
+	}
+	return t.eps[from].SendBatch(from, to, batch)
 }
 
-// runAll signals one superstep to all k drivers, waits for every one of
-// them, and hands the per-endpoint inboxes to the cluster in
-// double-buffered outer slices. finish selects the streaming close
-// (FinishSuperstep) over the lockstep Exchange.
-func (t *Transport[M]) runAll(ctx context.Context, step int, outs [][]transport.Envelope[M], finish bool) ([][]transport.Envelope[M], error) {
+// FinishSuperstep implements transport.Transport: each endpoint ships
+// its rest envelopes over its sockets concurrently (signalled to the
+// persistent drivers), and no inbox is released to the cluster before
+// every endpoint has received all of its peers' frames, streamed and
+// rest alike. The per-endpoint inboxes reach the cluster in
+// double-buffered outer slices.
+func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
-	if len(outs) != k {
-		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(outs), k)
+	if len(rest) != k {
+		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(rest), k)
 	}
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		op := "exchange"
-		if finish {
-			op = "finish superstep"
-		}
-		return nil, fmt.Errorf("tcp: %s on closed transport (superstep %d): %w", op, step, net.ErrClosed)
+		return nil, fmt.Errorf("tcp: finish superstep %d on closed transport: %w", step, net.ErrClosed)
 	}
 	for i := 0; i < k; i++ {
 		t.errs[i] = nil
@@ -1398,7 +1349,7 @@ func (t *Transport[M]) runAll(ctx context.Context, step int, outs [][]transport.
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: outs[i], finish: finish}
+		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: rest[i]}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
@@ -1442,55 +1393,6 @@ func (t *Transport[M]) runAll(ctx context.Context, step int, outs [][]transport.
 	return inboxes, nil
 }
 
-// CanStream implements transport.Streamer: the socket substrate is the
-// capability's raison d'être — eager batches overlap the wire with the
-// senders' remaining compute.
-func (t *Transport[M]) CanStream() bool { return true }
-
-// BeginSuperstep implements transport.Streamer: it opens the streaming
-// superstep on every endpoint, arming the per-superstep deadline guards
-// and releasing all reader workers so frames are consumed as they
-// arrive. Endpoints are opened serially under the transport mutex — the
-// same t.mu→e.mu lock order as Close — which is cheap (no I/O happens
-// in an endpoint BeginSuperstep, it only parks jobs on buffered
-// channels) and gives SendBatch a consistent "all open" view.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("tcp: begin superstep %d on closed transport: %w", step, net.ErrClosed)
-	}
-	for i, e := range t.eps {
-		if err := e.BeginSuperstep(ctx, step); err != nil {
-			return fmt.Errorf("tcp: machine %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// SendBatch implements transport.Streamer: machine from's eager batch
-// for machine to goes straight to from's endpoint, which hands it to
-// the parked writer worker for that peer. Called concurrently from the
-// machines' compute goroutines (distinct senders), per the contract;
-// each endpoint serialises its own state under its own mutex, so no
-// transport-level lock is needed — or wanted, it would serialise the
-// very sends streaming exists to overlap.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if int(from) < 0 || int(from) >= len(t.eps) {
-		return fmt.Errorf("tcp: SendBatch from invalid machine %d", from)
-	}
-	return t.eps[from].StreamBatch(to, batch)
-}
-
-// FinishSuperstep implements transport.Streamer: the streaming
-// superstep's barrier. Every endpoint ships its rest envelopes and
-// drains its pipeline generation (eager and rest frames alike) — the
-// same drivers, error preference, and double-buffered inbox hand-off as
-// Exchange.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	return t.runAll(ctx, step, rest, true)
-}
-
 // WireStats sums the physical-layer counters of every endpoint: total
 // frames and bytes that crossed the loopback sockets. In a healthy mesh
 // sent and received totals match.
@@ -1504,7 +1406,7 @@ func (t *Transport[M]) WireStats() transport.WireStats {
 
 // SetRecorder implements transport.TraceSink: every endpoint's pipeline
 // workers record their per-peer frame spans into r. Call before the
-// first Exchange.
+// first superstep.
 func (t *Transport[M]) SetRecorder(r obs.Recorder) {
 	for _, e := range t.eps {
 		e.SetRecorder(r)
@@ -1514,7 +1416,7 @@ func (t *Transport[M]) SetRecorder(r obs.Recorder) {
 // SeverMachine forcibly closes machine i's endpoint — its listener and
 // every connection — simulating that machine's process dying mid-run.
 // Survivors observe the severed connections as attributed errors on
-// their next (or in-flight) Exchange. It exists for fault injection:
+// their next (or in-flight) superstep. It exists for fault injection:
 // transport/chaos's drop-connection fault calls it to make "peer died"
 // deterministically reproducible in tests.
 func (t *Transport[M]) SeverMachine(i int) error {

@@ -50,6 +50,24 @@ func randomOuts(r *rng.RNG, k int) [][]transport.Envelope[testMsg] {
 	return outs
 }
 
+// superstepper is the Begin/Finish surface shared by a cluster-side
+// Transport (O = [][]Envelope) and a single Endpoint (O = []Envelope).
+type superstepper[O any] interface {
+	BeginSuperstep(ctx context.Context, step int) error
+	FinishSuperstep(ctx context.Context, step int, rest O) (O, error)
+}
+
+// exchange runs one lockstep superstep — nothing streamed — on a
+// transport or an endpoint: BeginSuperstep, then FinishSuperstep with
+// every envelope.
+func exchange[O any](s superstepper[O], ctx context.Context, step int, out O) (O, error) {
+	if err := s.BeginSuperstep(ctx, step); err != nil {
+		var zero O
+		return zero, err
+	}
+	return s.FinishSuperstep(ctx, step, out)
+}
+
 func TestTCPExchangeMatchesLoopback(t *testing.T) {
 	const k = 5
 	tr, err := New[testMsg](k, testCodec{})
@@ -63,11 +81,11 @@ func TestTCPExchangeMatchesLoopback(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		outsT := randomOuts(rT, k)
 		outsL := randomOuts(rL, k)
-		got, err := tr.Exchange(context.Background(), step, outsT)
+		got, err := exchange(tr, context.Background(), step, outsT)
 		if err != nil {
 			t.Fatalf("superstep %d: %v", step, err)
 		}
-		want, err := lb.Exchange(context.Background(), step, outsL)
+		want, err := exchange(lb, context.Background(), step, outsL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +107,7 @@ func TestTCPEmptySuperstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	inboxes, err := tr.Exchange(context.Background(), 0, make([][]transport.Envelope[testMsg], k))
+	inboxes, err := exchange(tr, context.Background(), 0, make([][]transport.Envelope[testMsg], k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +120,7 @@ func TestTCPEmptySuperstep(t *testing.T) {
 
 // TestBrokenConnectionErrorsInsteadOfDeadlocking is the regression test
 // for the error-cascade teardown: a connection failing mid-run must
-// surface as an Exchange error on every machine, not wedge the cluster
+// surface as a superstep error on every machine, not wedge the cluster
 // in deadline-free reads.
 func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 	const k = 3
@@ -111,7 +129,7 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := tr.Exchange(context.Background(), 0, make([][]transport.Envelope[testMsg], k)); err != nil {
+	if _, err := exchange(tr, context.Background(), 0, make([][]transport.Envelope[testMsg], k)); err != nil {
 		t.Fatalf("healthy superstep: %v", err)
 	}
 	// Sever one data connection behind the transport's back.
@@ -119,16 +137,16 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.Exchange(context.Background(), 1, make([][]transport.Envelope[testMsg], k))
+		_, err := exchange(tr, context.Background(), 1, make([][]transport.Envelope[testMsg], k))
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Exchange succeeded over a severed connection")
+			t.Fatal("superstep succeeded over a severed connection")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Exchange deadlocked on a severed connection")
+		t.Fatal("superstep deadlocked on a severed connection")
 	}
 }
 
@@ -206,12 +224,12 @@ func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	// Machine 1 never calls Exchange: machine 0's read of its batch can
+	// Machine 1 never runs the superstep: machine 0's read of its batch can
 	// only end by deadline.
-	_, err = eps[0].Exchange(ctx, 0, nil)
+	_, err = exchange(eps[0], ctx, 0, nil)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("Exchange against a wedged peer succeeded")
+		t.Fatal("superstep against a wedged peer succeeded")
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("deadline took %v to fire, want ~200ms", elapsed)
@@ -248,16 +266,16 @@ func TestExchangeCancellationUnblocks(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := eps[0].Exchange(ctx, 0, nil)
+		_, err := exchange(eps[0], ctx, 0, nil)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Exchange succeeded under a canceled context with a wedged peer")
+			t.Fatal("superstep succeeded under a canceled context with a wedged peer")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not unblock Exchange")
+		t.Fatal("cancellation did not unblock the superstep")
 	}
 }
 

@@ -44,56 +44,85 @@ type Envelope[M any] struct {
 }
 
 // Transport moves one superstep's envelopes between the k machines.
+// Every superstep is one Begin/Send/Finish cycle:
 //
-// Exchange is called once per superstep with outs[i] holding the
-// envelopes machine i emitted, already validated (To in range, Words
-// >= 0) and stamped with From. It returns inboxes[j], the envelopes
-// delivered to machine j for the next superstep, assembled in sender-ID
-// order (self-addressed envelopes of machine j appear at position j of
-// that order). Exchange is a barrier: it returns only after every
-// machine's batch has been routed, so a superstep cannot overtake a
-// straggler.
+//   - BeginSuperstep(ctx, step) opens the superstep. ctx bounds it
+//     until FinishSuperstep returns.
+//   - SendBatch(from, to, batch), optional and zero or more times,
+//     hands the transport one finished per-peer batch while machines
+//     are still computing (streaming). A run with no emitter bound
+//     never calls it: that is the lockstep schedule.
+//   - FinishSuperstep(ctx, step, rest) ships rest[i] — machine i's
+//     envelopes that were not streamed, self-addressed ones included,
+//     already validated (To in range, Words >= 0) and stamped with From
+//     — waits until every batch of the superstep has been routed, and
+//     returns inboxes[j], the envelopes delivered to machine j for the
+//     next superstep.
 //
-// Failure contract. ctx bounds the superstep: implementations that can
-// block on remote machines must observe ctx's deadline and cancellation
-// so a crashed or wedged peer surfaces as an error within the deadline
-// instead of an indefinite hang. When the failure can be attributed to
-// a specific machine, the returned error wraps a *MachineError naming
-// it and the superstep. Exchange is not restartable after an error: an
+// Inboxes are assembled in sender-ID order (self-addressed envelopes of
+// machine j appear at position j of that order), and a streamed batch
+// for peer j simply IS sender i's contribution to inbox j: the caller
+// never mixes a streamed batch and rest envelopes for the same
+// (from, to) pair in one superstep. The schedule is therefore not
+// observable in the results. FinishSuperstep is the superstep's
+// barrier: it returns only after every machine's batches have been
+// routed, so a superstep cannot overtake a straggler.
+//
+// Failure contract. ctx bounds the superstep from BeginSuperstep
+// through FinishSuperstep: implementations that can block on remote
+// machines must observe ctx's deadline and cancellation so a crashed or
+// wedged peer surfaces as an error within the deadline instead of an
+// indefinite hang. When the failure can be attributed to a specific
+// machine, the returned error wraps a *MachineError naming it and the
+// superstep. A superstep is not restartable after an error: an
 // implementation may tear down its resources to unblock peers (the tcp
-// mesh does), so the caller must treat any Exchange error as fatal for
-// the run and Close the transport.
+// mesh does), so the caller must treat any error as fatal for the run
+// and Close the transport.
 //
 // A Transport carries payloads verbatim and must preserve both the
 // per-sender envelope order and the Words field — the accounting in
 // core depends on it.
 //
 // Buffer ownership. A Transport may recycle inbox storage: the inboxes
-// returned by Exchange (both the outer slice and the envelope storage
-// it points into) remain valid only until the second-following Exchange
-// call on the same transport. Implementations double-buffer so that the
-// previous superstep's inboxes — and any outgoing envelopes that alias
-// them, e.g. second-hop forwards — are never overwritten while the
-// current superstep is assembled; callers that need an envelope beyond
-// that window must copy it. Symmetrically, outs stays owned by the
-// caller: a Transport must finish reading it before Exchange returns
-// and must not retain or mutate it afterwards, so machines may recycle
+// returned by FinishSuperstep (both the outer slice and the envelope
+// storage it points into) remain valid only until the second-following
+// FinishSuperstep call on the same transport. Implementations
+// double-buffer so that the previous superstep's inboxes — and any
+// outgoing envelopes that alias them, e.g. second-hop forwards — are
+// never overwritten while the current superstep is assembled; callers
+// that need an envelope beyond that window must copy it. Symmetrically,
+// rest and every streamed batch stay owned by the caller: the caller
+// must not mutate a streamed batch until FinishSuperstep returns, and a
+// Transport must finish reading both before FinishSuperstep returns and
+// must not retain or mutate them afterwards, so machines may recycle
 // their outbox slices across supersteps.
+//
+// A superstep opened and never finished (the run terminated
+// quiescently, or aborted on an error) is abandoned by Close, which
+// unblocks any parked I/O.
 type Transport[M any] interface {
-	Exchange(ctx context.Context, step int, outs [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
+	BatchSender[M]
+
+	// BeginSuperstep opens superstep step; SendBatch is accepted until
+	// the matching FinishSuperstep.
+	BeginSuperstep(ctx context.Context, step int) error
+
+	// FinishSuperstep ships the not-yet-streamed remainder and returns
+	// the assembled inboxes — the superstep's barrier.
+	FinishSuperstep(ctx context.Context, step int, rest [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
 
 	// Close releases transport resources (listeners, connections) and
 	// unblocks any I/O still pending on them. It is safe to call more
-	// than once and from a goroutine other than the one in Exchange;
-	// Exchange must not be called after Close.
+	// than once and from a goroutine other than the one driving the
+	// superstep; no other method may be called after Close.
 	Close() error
 }
 
-// BatchSender is the narrow eager-emission capability a machine's
-// per-peer emitter needs: hand one finished, validated batch for one
-// peer to the substrate while the superstep is still computing. It is
-// the subset of Streamer that core.Emitter holds, so the engine-side
-// emitter does not need the whole superstep-lifecycle surface.
+// BatchSender is the eager-emission half of a Transport: hand one
+// finished, validated batch for one peer to the substrate while the
+// superstep is still computing. It is the only part of the Transport
+// that core.Emitter holds, so the machine-side emitter does not see the
+// superstep lifecycle.
 //
 // SendBatch may be called concurrently for different senders (one
 // goroutine per `from` at a time), only between BeginSuperstep and
@@ -104,57 +133,6 @@ type Transport[M any] interface {
 // caller must surface it and stop emitting.
 type BatchSender[M any] interface {
 	SendBatch(from, to MachineID, batch []Envelope[M]) error
-}
-
-// Streamer is the optional streaming-superstep capability of a
-// Transport: instead of the single Exchange barrier, a superstep may be
-// opened with BeginSuperstep, fed finished per-peer batches eagerly via
-// SendBatch while machines are still computing, and closed with
-// FinishSuperstep, which ships whatever was not streamed and returns
-// the assembled inboxes. Like TraceSink and WireMeter, callers discover
-// it by type assertion and additionally gate on CanStream(), so a
-// wrapper (chaos) can expose the methods while delegating the decision
-// to its inner transport.
-//
-// The relaxed schedule must not be observable in the results: inboxes
-// come back in the same sender-ID order, with the same per-sender
-// envelope order, as an Exchange carrying the identical envelopes would
-// produce — a streamed batch for peer j simply IS sender i's
-// contribution to inbox j (the engine forbids mixing a streamed batch
-// and leftover rest envelopes for the same (from, to) pair in one
-// superstep). FinishSuperstep is the superstep's barrier: it returns
-// only after every batch of the superstep (streamed or rest) has been
-// routed, and it carries the Exchange failure contract (ctx deadline /
-// cancellation, *MachineError attribution, fatal-on-error).
-//
-// Buffer ownership for streamed batches: the caller keeps ownership of
-// a batch slice handed to SendBatch but must not mutate or recycle it
-// until FinishSuperstep for that superstep returns (the tcp substrate
-// encodes it concurrently with the remaining compute); the transport
-// must not retain the slice after FinishSuperstep returns. rest and the
-// returned inboxes follow the Exchange ownership rules verbatim.
-//
-// A superstep opened with BeginSuperstep and never finished (the run
-// terminated quiescently, or aborted on an error) is abandoned by
-// Close, which unblocks any eagerly-parked I/O.
-type Streamer[M any] interface {
-	BatchSender[M]
-
-	// CanStream reports whether the transport actually supports the
-	// streaming path right now (a wrapper returns its inner transport's
-	// answer). When false, the other methods must not be called.
-	CanStream() bool
-
-	// BeginSuperstep opens superstep step: the transport arms eager
-	// receive on all peers and accepts SendBatch calls until
-	// FinishSuperstep.
-	BeginSuperstep(ctx context.Context, step int) error
-
-	// FinishSuperstep ships the not-yet-streamed remainder (rest[i] =
-	// machine i's leftover envelopes, self-addressed ones included),
-	// waits for every machine's batches to be routed, and returns the
-	// assembled inboxes — the streaming superstep's barrier.
-	FinishSuperstep(ctx context.Context, step int, rest [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
 }
 
 // MachineError attributes a distributed-runtime failure to the machine
@@ -197,10 +175,10 @@ func (e *MachineError) Unwrap() error { return e.Err }
 // word-based cost model — Stats.Words counts model words before any
 // transport touches an envelope, WireStats counts the bytes a real
 // socket carried — and comparing the two quantifies both the encoding
-// efficiency of the wire format and the protocol overhead (barrier and
-// report/verdict frames) that the model abstracts away. The loopback
-// transport ships nothing and reports zeros by not implementing
-// WireMeter at all.
+// efficiency of the wire format and the protocol overhead (the node
+// runtime's report/verdict frames) that the model abstracts away. The
+// loopback transport ships nothing and reports zeros by not
+// implementing WireMeter at all.
 type WireStats struct {
 	// FramesSent/FramesRecv count whole frames shipped and received.
 	FramesSent, FramesRecv int64
@@ -272,7 +250,7 @@ type WireMeter interface {
 // its inner transport. Callers discover it with a type assertion
 // (core.RunOverWire installs Config.Recorder this way) and treat
 // absence as "this substrate has no frame-level detail to offer".
-// SetRecorder must be called before the first Exchange; the transport
+// SetRecorder must be called before the first superstep; the transport
 // reads the recorder without synchronisation on its hot paths.
 type TraceSink interface {
 	SetRecorder(r obs.Recorder)
