@@ -108,7 +108,7 @@ func main() {
 		deadline  = flag.Duration("superstep-timeout", 0, "per-superstep deadline, covering BeginSuperstep through FinishSuperstep; a crashed or wedged peer surfaces as an attributed error within it (0 = none)")
 		streaming = flag.Bool("streaming", false, "streaming supersteps: overlap compute with communication by shipping per-peer batches mid-superstep (results and stats are identical)")
 		ckEvery   = flag.Int("checkpoint-every", 0, "capture machine state every s supersteps and survive machine failures by resuming from the last checkpoint (0 = off, fail fast)")
-		ckDir     = flag.String("checkpoint-dir", "", "persist checkpoints to this directory instead of memory only — complete cluster checkpoints land as ckpt-*.kmnc files (needs -checkpoint-every)")
+		ckDir     = flag.String("checkpoint-dir", "", "persist checkpoints to this directory instead of memory only — each complete cluster checkpoint lands as a ckpt-*.kmcp file, the newest two kept (needs -checkpoint-every)")
 		retain    = flag.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
 		sharded   = flag.Bool("sharded", false, "partition-local setup: build only this machine's CSR shard instead of materializing the full graph (results and stats are identical)")
 		input     = flag.String("input", "", "read the graph from this edge-list file ('u v' per line, '#' comments) instead of generating G(n,p); -n still declares the vertex-ID space")

@@ -86,36 +86,42 @@ type Problem struct {
 }
 
 // CheckpointSpec is the substrate-agnostic checkpoint policy of a
-// Problem: which knobs apply depends on the runner (Sink/Dir and
-// MaxRecoveries drive the in-process cluster's in-run machine
-// replacement; Store and Resume drive the node runtime's
-// resume-from-checkpoint, which the job scheduler uses across mesh
-// rebuilds). Every is shared. The machines of the algorithm must
-// implement core.Snapshotter (all registry algorithms do).
+// Problem. Both runtimes take the same cut and store the same blobs in
+// a core.CheckpointSink: the in-process cluster restores from it when
+// a machine dies mid-run (in-run replacement, bounded by
+// MaxRecoveries); the node runtime restores from it at start when
+// Resume is set, which is how the job scheduler re-runs a job after a
+// mesh rebuild. The machines of the algorithm must implement
+// core.Snapshotter (all registry algorithms do).
 type CheckpointSpec struct {
 	// Every captures machine state every Every supersteps; 0 disables
 	// checkpointing entirely.
 	Every int
-	// Dir, when non-empty, persists checkpoints to disk: the
-	// in-process cluster swaps its in-memory ring for a core.FileSink,
-	// and the node runtime mirrors every complete checkpoint into the
-	// directory (CheckpointStore.PersistTo).
+	// Dir, when non-empty, persists checkpoints to disk: the sink is a
+	// core.FileSink writing ckpt-*.kmcp files there.
 	Dir string
-	// Sink overrides the in-process cluster's checkpoint sink (wins
-	// over Dir). Useful for inspecting checkpoint traffic in tests and
-	// experiments (core.MemorySink counts puts and bytes).
+	// Sink overrides the checkpoint sink (wins over Dir). The job
+	// scheduler owns one per opted-in job so checkpoints survive mesh
+	// rebuilds; tests and experiments use it to inspect checkpoint
+	// traffic (core.MemorySink counts puts and bytes). nil with no Dir
+	// means an in-memory ring private to the run.
 	Sink core.CheckpointSink
 	// MaxRecoveries caps in-run machine replacements on the in-process
 	// cluster; 0 means core.DefaultMaxRecoveries.
 	MaxRecoveries int
-	// Store is the node runtime's shared checkpoint store. The job
-	// scheduler creates one per opted-in job so checkpoints survive
-	// mesh rebuilds; nil lets the node runtime create a private one.
-	Store *node.CheckpointStore
-	// Resume makes a node-runtime run restore the latest complete
-	// checkpoint from Store before its first superstep — the
-	// re-attempt half of the scheduler's recovery protocol.
+	// Resume makes a node-runtime run restore the sink's latest
+	// checkpoint before its first superstep — the re-attempt half of
+	// the scheduler's recovery protocol. The in-process cluster only
+	// ever restores mid-run and ignores it.
 	Resume bool
+}
+
+// sink resolves Sink and Dir; nil means the runner's private default.
+func (ck CheckpointSpec) sink() core.CheckpointSink {
+	if ck.Sink == nil && ck.Dir != "" {
+		return core.NewFileSink(ck.Dir)
+	}
+	return ck.Sink
 }
 
 // withDefaults resolves the zero-value conventions.
@@ -143,8 +149,7 @@ func (prob Problem) nodeConfig(k int) node.Config {
 		SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
 		Recorder: prob.Recorder, Streaming: prob.Streaming,
 		Checkpoint: node.CheckpointConfig{Every: prob.Checkpoint.Every,
-			Store: prob.Checkpoint.Store, Resume: prob.Checkpoint.Resume,
-			Dir: prob.Checkpoint.Dir}}
+			Sink: prob.Checkpoint.sink(), Resume: prob.Checkpoint.Resume}}
 }
 
 // coreConfig is the in-process cluster configuration of a problem: the
@@ -154,13 +159,9 @@ func (prob Problem) coreConfig(kind transport.Kind) core.Config {
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
 		Recorder: prob.Recorder, Streaming: prob.Streaming}
 	if ck := prob.Checkpoint; ck.Every > 0 {
-		sink := ck.Sink
+		sink := ck.sink()
 		if sink == nil {
-			if ck.Dir != "" {
-				sink = core.NewFileSink(ck.Dir)
-			} else {
-				sink = core.NewMemorySink(2)
-			}
+			sink = core.NewMemorySink(2)
 		}
 		cfg.Checkpoint = core.CheckpointPolicy{Every: ck.Every, Sink: sink,
 			MaxRecoveries: ck.MaxRecoveries}
@@ -375,6 +376,11 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 			}
 			if prob.Streaming {
 				ncfg.Streaming = true
+			}
+			if ncfg.Checkpoint.Every == 0 {
+				// Carried through so node.Run rejects it explicitly
+				// rather than the run silently not checkpointing.
+				ncfg.Checkpoint = prob.nodeConfig(ncfg.K).Checkpoint
 			}
 			ti := &timedInput{in: in}
 			t1 := time.Now()

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,46 +12,52 @@ import (
 	"strings"
 	"sync"
 
-	"kmachine/internal/rng"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/wire"
 )
 
-// This file is the checkpoint/recovery subsystem (ROADMAP item 5): a
-// run that loses a machine finishes anyway, with bit-identical output.
+// This file is the checkpoint/recovery subsystem: a run that loses a
+// machine finishes anyway, with bit-identical output, on either
+// runtime.
 //
 // The design leans entirely on determinism the repo already guarantees.
-// Machine state is a pure function of (seed, inbox history), so a
-// checkpoint of all k machines taken at one observation barrier — state
-// blobs via each algorithm's Snapshotter, RNG state words, done flags,
-// and the superstep's validated outgoing envelopes — is a complete,
-// consistent cut of the computation. Recovery reopens a fresh
-// transport, restores every machine in place from the latest cut, and
-// retries that superstep's FinishSuperstep; from there the replay is the
-// original run, bit for bit, because every machine draws the same
-// random words and reads the same inboxes.
+// In the k-machine model the configuration at a round boundary is each
+// machine's state, its random bits, and the messages it is about to
+// read; machine state is a pure function of (seed, inbox history), so
+// those three per machine — a Snapshotter blob, the RNG state word,
+// and the inbox — plus the Stats so far are a complete, consistent cut
+// of the computation. Recovery restores every machine in place from
+// the latest cut and re-enters the ordinary superstep loop at the next
+// superstep; from there the replay is the original run, bit for bit,
+// because every machine draws the same random words and reads the same
+// inboxes.
 //
-// Placement of the cut. The superstep loop (engine.go) captures a
-// checkpoint after the superstep's accounting and before its
-// FinishSuperstep. The checkpointed Stats therefore already include the
-// captured superstep, and a resumed run re-enters the loop at the
-// FinishSuperstep of that superstep without re-accounting it. Under
-// streaming some of the superstep's envelopes already went to the
-// transport mid-compute; the cut encodes each machine's streamed
-// batches (which the transport contract keeps readable until
-// FinishSuperstep) after its rest envelopes as one list of pending
-// outs, and a restore ships them all as rest — the same per-destination
-// order, hence the same inboxes. Quiescence returns before accounting, so a final
-// superstep is never captured — a checkpoint always names a superstep
-// whose exchange is (re)tryable. An additional arm-time image at
-// superstep -1 (fresh state, empty outs, zero stats) covers failures
-// that land before the first periodic capture: restoring it is an exact
+// Placement of the cut, the same on both runtimes: after superstep s's
+// exchange (FinishSuperstep here; the continue verdict on the node
+// runtime). The Stats then already include s, machine state and RNG
+// sit at their post-compute position, and the inboxes hold exactly
+// what superstep s+1 reads — streamed batches included, since they
+// arrived through the exchange like everything else — so a resumed run
+// starts at s+1 with nothing to re-account and nothing in flight. A
+// machine lost before the next cut replays at most Every supersteps.
+// Quiescence returns before the exchange, so the final superstep is
+// never captured. An additional arm-time image at superstep -1 (fresh
+// state, empty inboxes, zero stats) covers failures that land before
+// the first periodic capture: restoring it is an exact
 // restart-from-zero.
 //
-// What is recoverable: errors that unwrap to *transport.MachineError
-// while the run context is still live — the attributed peer-loss class
-// chaos injects and real socket failures produce. Panics, context
-// cancellation, MaxSupersteps, and validation errors stay fail-fast.
+// One blob format serves both runtimes (KMCP v2, below). This engine
+// encodes it in one piece; on the node runtime each node encodes its
+// own section with AppendSection and an in-process assembler joins the
+// k sections and the coordinator's Stats with AssembleCheckpoint. Both
+// hand the blob to a CheckpointSink, and both decode it with
+// DecodeCheckpoint and RestoreSection.
+//
+// What is recoverable here: errors that unwrap to
+// *transport.MachineError while the run context is still live — the
+// attributed peer-loss class chaos injects and real socket failures
+// produce. Panics, context cancellation, MaxSupersteps, and validation
+// errors stay fail-fast.
 
 // Snapshotter is the per-machine state codec capability. Machines that
 // implement it (all five registry algorithms do, in their state.go
@@ -77,8 +85,8 @@ const DefaultMaxRecoveries = 3
 // off, preserving the engine's zero-allocation steady state and every
 // golden hash.
 type CheckpointPolicy struct {
-	// Every captures a checkpoint each s supersteps (at supersteps
-	// Every-1, 2*Every-1, ...). 0 disables checkpointing.
+	// Every captures a checkpoint each s supersteps (the cuts after
+	// supersteps Every-1, 2*Every-1, ...). 0 disables checkpointing.
 	Every int
 	// Sink stores the checkpoint blobs; nil means an in-memory ring of
 	// the last two checkpoints (NewMemorySink).
@@ -209,18 +217,38 @@ func (s *FileSink) Put(superstep int, blob []byte) error {
 	return nil
 }
 
-// Latest implements CheckpointSink.
+// Latest implements CheckpointSink. Blobs are opaque to the sink with
+// one exception: a file that starts like a checkpoint blob but does
+// not decode as one (a truncated or corrupted write) is skipped in
+// favor of the next-newest, so a damaged newest file falls back to the
+// intact one before it.
 func (s *FileSink) Latest() (int, []byte, error) {
 	steps, err := s.list()
-	if err != nil || len(steps) == 0 {
-		return -1, nil, err
-	}
-	step := steps[len(steps)-1]
-	blob, err := os.ReadFile(filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", ckptFilePrefix, step, ckptFileSuffix)))
 	if err != nil {
 		return -1, nil, err
 	}
-	return step, blob, nil
+	for i := len(steps) - 1; i >= 0; i-- {
+		blob, err := os.ReadFile(filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", ckptFilePrefix, steps[i], ckptFileSuffix)))
+		if err != nil {
+			return -1, nil, err
+		}
+		if !damagedCheckpoint(blob, steps[i]) {
+			return steps[i], blob, nil
+		}
+	}
+	return -1, nil, nil
+}
+
+// damagedCheckpoint reports whether blob starts like a checkpoint blob
+// ("KMCP", or a prefix of it) yet does not decode as the cut after
+// superstep step.
+func damagedCheckpoint(blob []byte, step int) bool {
+	n := min(len(blob), len(ckptMagic)-1)
+	if !bytes.Equal(blob[:n], ckptMagic[:n]) {
+		return false
+	}
+	got, _, _, err := DecodeCheckpoint(blob, -1)
+	return err != nil || got != step
 }
 
 // list returns the stored superstep numbers in ascending order.
@@ -248,6 +276,222 @@ func (s *FileSink) list() ([]int, error) {
 	return steps, nil
 }
 
+// Checkpoint blob format, "KMCP" version 2 — the one cut format of
+// both runtimes (decode rejects any other version):
+//
+//	'K','M','C','P', 2
+//	uvarint superstep+1          (+1 encodes the arm-time -1)
+//	uvarint k
+//	Stats record                 (AppendStats)
+//	k × (uvarint len ++ machine section, in machine order)
+//
+// A machine section is what that machine needs to resume:
+//
+//	uvarint RNG stream state
+//	uvarint len(state) ++ Snapshotter blob
+//	uvarint len(inbox), each: uvarint From, uvarint Words, codec payload
+//	                          (To is the section's machine)
+//
+// Every count is checked against the bytes still unread before a loop
+// or allocation uses it, so a truncated or hostile blob is rejected
+// without running away.
+var ckptMagic = []byte{'K', 'M', 'C', 'P', 2}
+
+// AppendStats appends the varint Stats record: uvarint Rounds,
+// Supersteps, Messages, Words, MaxRecvWords; uvarint k, then k
+// RecvWords and k SentWords; uvarint len(PerSuperstep), then six
+// uvarints per entry (Rounds, Messages, Words, MaxLinkWords,
+// MaxRecvWords, MaxSentWords). It is the Stats of a checkpoint and the
+// payload of the node runtime's stop verdict. Recoveries is left out:
+// it is a property of one execution, not of the computation.
+func AppendStats(dst []byte, s *Stats) []byte {
+	for _, v := range []int64{s.Rounds, int64(s.Supersteps), s.Messages, s.Words, s.MaxRecvWords} {
+		dst = wire.AppendUvarint(dst, uint64(v))
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(s.RecvWords)))
+	for _, w := range s.RecvWords {
+		dst = wire.AppendUvarint(dst, uint64(w))
+	}
+	for _, w := range s.SentWords {
+		dst = wire.AppendUvarint(dst, uint64(w))
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(s.PerSuperstep)))
+	for i := range s.PerSuperstep {
+		ss := &s.PerSuperstep[i]
+		for _, v := range []int64{ss.Rounds, ss.Messages, ss.Words, ss.MaxLinkWords, ss.MaxRecvWords, ss.MaxSentWords} {
+			dst = wire.AppendUvarint(dst, uint64(v))
+		}
+	}
+	return dst
+}
+
+// DecodeStats reads a Stats record written by AppendStats; errors latch
+// in c. An empty PerSuperstep decodes as nil, like a run that never
+// charged a superstep (or dropped the breakdown).
+func DecodeStats(c *wire.Cursor) *Stats {
+	s := &Stats{
+		Rounds:       int64(c.Uvarint()),
+		Supersteps:   int(c.Uvarint()),
+		Messages:     int64(c.Uvarint()),
+		Words:        int64(c.Uvarint()),
+		MaxRecvWords: int64(c.Uvarint()),
+	}
+	k := c.Count(2)
+	s.RecvWords, s.SentWords = make([]int64, k), make([]int64, k)
+	for i := range s.RecvWords {
+		s.RecvWords[i] = int64(c.Uvarint())
+	}
+	for i := range s.SentWords {
+		s.SentWords[i] = int64(c.Uvarint())
+	}
+	if n := c.Count(6); n > 0 {
+		s.PerSuperstep = make([]SuperstepStat, n)
+		for i := range s.PerSuperstep {
+			s.PerSuperstep[i] = SuperstepStat{
+				Rounds:       int64(c.Uvarint()),
+				Messages:     int64(c.Uvarint()),
+				Words:        int64(c.Uvarint()),
+				MaxLinkWords: int64(c.Uvarint()),
+				MaxRecvWords: int64(c.Uvarint()),
+				MaxSentWords: int64(c.Uvarint()),
+			}
+		}
+	}
+	return s
+}
+
+// AppendSection appends machine ctx.Self's length-prefixed checkpoint
+// section: its RNG state, its Snapshotter blob, and inbox — the
+// envelopes it reads next superstep.
+func AppendSection[M any](dst []byte, ctx *StepContext, snap Snapshotter, inbox []Envelope[M], codec wire.Codec[M]) ([]byte, error) {
+	lenAt := len(dst)
+	b := append(dst, 0) // section length placeholder
+	secAt := len(b)
+	b = wire.AppendUvarint(b, ctx.RNG.State())
+	stateLenAt := len(b)
+	b = append(b, 0) // state length placeholder
+	stateAt := len(b)
+	b, err := snap.SnapshotState(b)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot machine %d: %w", ctx.Self, err)
+	}
+	b = spliceLen(b, stateLenAt, stateAt)
+	b = wire.AppendUvarint(b, uint64(len(inbox)))
+	for i := range inbox {
+		env := &inbox[i]
+		b = wire.AppendUvarint(b, uint64(env.From))
+		b = wire.AppendUvarint(b, uint64(env.Words))
+		if b, err = codec.Append(b, env.Msg); err != nil {
+			return nil, fmt.Errorf("core: snapshot machine %d envelope from %d: %w", ctx.Self, env.From, err)
+		}
+	}
+	return spliceLen(b, lenAt, secAt), nil
+}
+
+// spliceLen rewrites the uvarint length placeholder at lenAt (encoded
+// as a single zero byte) to the actual length of b[at:], shifting the
+// tail when the real uvarint needs more than one byte.
+func spliceLen(b []byte, lenAt, at int) []byte {
+	n := len(b) - at
+	var enc [10]byte
+	encLen := len(wire.AppendUvarint(enc[:0], uint64(n)))
+	if encLen == 1 {
+		b[lenAt] = byte(n)
+		return b
+	}
+	b = append(b, make([]byte, encLen-1)...)
+	copy(b[at+encLen-1:], b[at:len(b)-(encLen-1)])
+	wire.AppendUvarint(b[lenAt:lenAt], uint64(n))
+	return b
+}
+
+// AssembleCheckpoint appends the blob of the cut after superstep step
+// from its parts: stats is a Stats record (AppendStats) and sections
+// holds the k length-prefixed machine sections (AppendSection) in
+// machine order.
+func AssembleCheckpoint(dst []byte, step int, stats []byte, sections [][]byte) []byte {
+	dst = appendHeader(dst, step, len(sections))
+	dst = append(dst, stats...)
+	for _, sec := range sections {
+		dst = append(dst, sec...)
+	}
+	return dst
+}
+
+func appendHeader(dst []byte, step, k int) []byte {
+	dst = append(dst, ckptMagic...)
+	dst = wire.AppendUvarint(dst, uint64(step+1))
+	return wire.AppendUvarint(dst, uint64(k))
+}
+
+// DecodeCheckpoint parses a blob for a k-machine cluster (k < 0
+// accepts any k) into the superstep it was cut after, its Stats, and
+// the k machine sections, each to be installed with RestoreSection.
+// The sections alias blob.
+func DecodeCheckpoint(blob []byte, k int) (step int, stats *Stats, sections [][]byte, err error) {
+	if !bytes.HasPrefix(blob, ckptMagic) {
+		return 0, nil, nil, fmt.Errorf("core: not a KMCP v%d checkpoint blob", ckptMagic[len(ckptMagic)-1])
+	}
+	c := wire.Cursor{Src: blob, Off: len(ckptMagic)}
+	s := c.Uvarint()
+	n := c.Count(1) // every section costs at least its length byte
+	if c.Err == nil && s > math.MaxInt32 {
+		c.Err = fmt.Errorf("superstep %d out of range", s)
+	}
+	if c.Err == nil && k >= 0 && n != k {
+		return 0, nil, nil, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", n, k)
+	}
+	stats = DecodeStats(&c)
+	if c.Err == nil && len(stats.RecvWords) != n {
+		c.Err = fmt.Errorf("stats for k=%d in a k=%d checkpoint", len(stats.RecvWords), n)
+	}
+	sections = make([][]byte, n)
+	for i := range sections {
+		sections[i] = c.Bytes(c.Count(1))
+	}
+	if err := c.Finish(); err != nil {
+		return 0, nil, nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
+	}
+	return int(s) - 1, stats, sections, nil
+}
+
+// RestoreSection installs one machine's section (from DecodeCheckpoint)
+// into the machine behind snap and its RNG stream ctx.RNG, and returns
+// the inbox its next superstep reads.
+func RestoreSection[M any](sec []byte, ctx *StepContext, snap Snapshotter, codec wire.Codec[M]) ([]Envelope[M], error) {
+	c := wire.Cursor{Src: sec}
+	rngState := c.Uvarint()
+	state := c.Bytes(c.Count(1))
+	n := c.Count(2) // From and Words take a byte each
+	var inbox []Envelope[M]
+	if n > 0 {
+		inbox = make([]Envelope[M], 0, n)
+	}
+	for i := 0; i < n && c.Err == nil; i++ {
+		from, words := c.Uvarint(), c.Uvarint()
+		if c.Err == nil && (from >= uint64(ctx.K) || words > math.MaxInt32) {
+			c.Err = fmt.Errorf("envelope from machine %d with %d words", from, words)
+		}
+		if c.Err != nil {
+			break
+		}
+		msg, used, err := codec.Decode(sec[c.Off:])
+		if err != nil {
+			return nil, fmt.Errorf("core: decode checkpoint envelope (machine %d): %w", ctx.Self, err)
+		}
+		c.Off += used
+		inbox = append(inbox, Envelope[M]{From: MachineID(from), To: ctx.Self, Words: int32(words), Msg: msg})
+	}
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("core: corrupt checkpoint section (machine %d): %w", ctx.Self, err)
+	}
+	if err := snap.RestoreState(state); err != nil {
+		return nil, fmt.Errorf("core: restore machine %d: %w", ctx.Self, err)
+	}
+	ctx.RNG.SetState(rngState)
+	return inbox, nil
+}
+
 // ckRun is the per-run checkpoint state threaded through the superstep
 // loop when checkpointing is armed; nil keeps the loop on its fenced
 // zero-allocation path.
@@ -256,33 +500,10 @@ type ckRun[M any] struct {
 	sink  CheckpointSink
 	codec wire.Codec[M]
 	snaps []Snapshotter
-	rngs  []*rng.RNG
 
 	buf      []byte // encode scratch, reused across captures
 	initBlob []byte // arm-time superstep -1 image (restart-from-zero)
-	// resume >= 0 asks the next loop call to re-enter at this
-	// superstep's FinishSuperstep with restored outs; -2 means a normal
-	// start.
-	resume int
 }
-
-// Checkpoint blob format (versioned; decode rejects unknown versions):
-//
-//	"KMCP" ver=1
-//	uvarint superstep+1          (+1 encodes the arm-time -1)
-//	uvarint k
-//	uvarint Rounds, Supersteps, Messages, Words
-//	k × uvarint RecvWords; k × uvarint SentWords
-//	uvarint len(PerSuperstep), each 6 uvarints
-//	per machine: uvarint rngState; flags byte (bit0 done);
-//	             uvarint len(state) + state blob;
-//	             uvarint len(outs), each: uvarint To, uvarint Words,
-//	             codec payload (self-delimiting per wire.Codec);
-//	             outs are the rest envelopes, then the streamed batches
-//
-// Stats.Recoveries is deliberately excluded: it is a live counter of
-// the run, not part of the computation's cut, and survives restores.
-var ckptMagic = []byte{'K', 'M', 'C', 'P', 1}
 
 // arm validates that every machine is checkpointable and captures the
 // superstep -1 image.
@@ -303,7 +524,8 @@ func (ck *ckRun[M]) arm(c *Cluster[M], e *engine[M], stats *Stats) error {
 	return nil
 }
 
-// capture encodes the cut at superstep step and stores it in the sink.
+// capture encodes the cut after superstep step and stores it in the
+// sink.
 func (ck *ckRun[M]) capture(step int, e *engine[M], stats *Stats) error {
 	blob, err := ck.encode(step, e, stats)
 	if err != nil {
@@ -313,102 +535,22 @@ func (ck *ckRun[M]) capture(step int, e *engine[M], stats *Stats) error {
 }
 
 func (ck *ckRun[M]) encode(step int, e *engine[M], stats *Stats) ([]byte, error) {
-	b := append(ck.buf[:0], ckptMagic...)
-	b = wire.AppendUvarint(b, uint64(step+1))
-	k := len(ck.snaps)
-	b = wire.AppendUvarint(b, uint64(k))
-	b = wire.AppendUvarint(b, uint64(stats.Rounds))
-	b = wire.AppendUvarint(b, uint64(stats.Supersteps))
-	b = wire.AppendUvarint(b, uint64(stats.Messages))
-	b = wire.AppendUvarint(b, uint64(stats.Words))
-	for _, w := range stats.RecvWords {
-		b = wire.AppendUvarint(b, uint64(w))
-	}
-	for _, w := range stats.SentWords {
-		b = wire.AppendUvarint(b, uint64(w))
-	}
-	b = wire.AppendUvarint(b, uint64(len(stats.PerSuperstep)))
-	for i := range stats.PerSuperstep {
-		ss := &stats.PerSuperstep[i]
-		b = wire.AppendUvarint(b, uint64(ss.Rounds))
-		b = wire.AppendUvarint(b, uint64(ss.Messages))
-		b = wire.AppendUvarint(b, uint64(ss.Words))
-		b = wire.AppendUvarint(b, uint64(ss.MaxLinkWords))
-		b = wire.AppendUvarint(b, uint64(ss.MaxRecvWords))
-		b = wire.AppendUvarint(b, uint64(ss.MaxSentWords))
-	}
+	b := appendHeader(ck.buf[:0], step, len(ck.snaps))
+	b = AppendStats(b, stats)
 	var err error
-	for i := 0; i < k; i++ {
-		b = wire.AppendUvarint(b, ck.rngs[i].State())
-		var flags byte
-		if e.dones[i] {
-			flags |= 1
-		}
-		b = append(b, flags)
-		lenAt := len(b)
-		b = wire.AppendUvarint(b, 0) // state length placeholder
-		stateAt := len(b)
-		if b, err = ck.snaps[i].SnapshotState(b); err != nil {
-			return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
-		}
-		b = spliceLen(b, lenAt, stateAt)
-		var streamed [][]Envelope[M]
-		if e.emitters != nil {
-			streamed = e.emitters[i].batches
-		}
-		n := len(e.outs[i])
-		for _, batch := range streamed {
-			n += len(batch)
-		}
-		b = wire.AppendUvarint(b, uint64(n))
-		if b, err = ck.appendOuts(b, i, e.outs[i]); err != nil {
+	for i, snap := range ck.snaps {
+		if b, err = AppendSection(b, &e.ctxs[i], snap, e.inboxes[i], ck.codec); err != nil {
 			return nil, err
-		}
-		for _, batch := range streamed {
-			if b, err = ck.appendOuts(b, i, batch); err != nil {
-				return nil, err
-			}
 		}
 	}
 	ck.buf = b
 	return b, nil
 }
 
-// appendOuts encodes machine i's pending envelopes into a checkpoint.
-func (ck *ckRun[M]) appendOuts(b []byte, i int, outs []Envelope[M]) ([]byte, error) {
-	var err error
-	for j := range outs {
-		env := &outs[j]
-		b = wire.AppendUvarint(b, uint64(env.To))
-		b = wire.AppendUvarint(b, uint64(env.Words))
-		if b, err = ck.codec.Append(b, env.Msg); err != nil {
-			return nil, fmt.Errorf("core: snapshot machine %d envelope to %d: %w", i, env.To, err)
-		}
-	}
-	return b, nil
-}
-
-// spliceLen rewrites the uvarint length placeholder at lenAt (encoded
-// as a single zero byte) to the actual length of b[stateAt:], shifting
-// the tail when the real uvarint needs more than one byte.
-func spliceLen(b []byte, lenAt, stateAt int) []byte {
-	n := len(b) - stateAt
-	var enc [10]byte
-	encLen := len(wire.AppendUvarint(enc[:0], uint64(n)))
-	if encLen == 1 {
-		b[lenAt] = byte(n)
-		return b
-	}
-	b = append(b, make([]byte, encLen-1)...)
-	copy(b[stateAt+encLen-1:], b[stateAt:len(b)-(encLen-1)])
-	wire.AppendUvarint(b[lenAt:lenAt], uint64(n))
-	return b
-}
-
-// restore decodes the latest stored checkpoint (or the arm-time image
+// restore installs the latest stored checkpoint (or the arm-time image
 // when the sink is empty) into the machines, RNG streams, engine
-// buffers, and stats, and returns the superstep the run resumes at
-// (-1 for a restart-from-zero).
+// inboxes, and stats, and returns the superstep it was cut after (-1
+// for a restart-from-zero); the run resumes at the one after it.
 func (ck *ckRun[M]) restore(e *engine[M], stats *Stats) (int, error) {
 	step, blob, err := ck.sink.Latest()
 	if err != nil {
@@ -417,134 +559,22 @@ func (ck *ckRun[M]) restore(e *engine[M], stats *Stats) (int, error) {
 	if blob == nil {
 		step, blob = -1, ck.initBlob
 	}
-	got, err := ck.decodeInto(blob, e, stats)
+	got, cut, sections, err := DecodeCheckpoint(blob, len(ck.snaps))
 	if err != nil {
 		return -1, err
 	}
 	if got != step {
 		return -1, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
 	}
-	return step, nil
-}
-
-func (ck *ckRun[M]) decodeInto(blob []byte, e *engine[M], stats *Stats) (int, error) {
-	k := len(ck.snaps)
-	d := ckDecoder{src: blob}
-	for _, m := range ckptMagic {
-		if b, err := d.byte(); err != nil || b != m {
-			return -1, fmt.Errorf("core: bad checkpoint header")
-		}
-	}
-	step := int(d.uvarint()) - 1
-	if gotK := int(d.uvarint()); gotK != k {
-		return -1, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", gotK, k)
-	}
-	stats.Rounds = int64(d.uvarint())
-	stats.Supersteps = int(d.uvarint())
-	stats.Messages = int64(d.uvarint())
-	stats.Words = int64(d.uvarint())
-	for i := 0; i < k; i++ {
-		stats.RecvWords[i] = int64(d.uvarint())
-	}
-	for i := 0; i < k; i++ {
-		stats.SentWords[i] = int64(d.uvarint())
-	}
-	stats.MaxRecvWords = 0
-	nss := int(d.uvarint())
-	stats.PerSuperstep = stats.PerSuperstep[:0]
-	for i := 0; i < nss; i++ {
-		stats.PerSuperstep = append(stats.PerSuperstep, SuperstepStat{
-			Rounds:       int64(d.uvarint()),
-			Messages:     int64(d.uvarint()),
-			Words:        int64(d.uvarint()),
-			MaxLinkWords: int64(d.uvarint()),
-			MaxRecvWords: int64(d.uvarint()),
-			MaxSentWords: int64(d.uvarint()),
-		})
-	}
-	for i := 0; i < k; i++ {
-		ck.rngs[i].SetState(d.uvarint())
-		flags, err := d.byte()
-		if err != nil {
+	for i, sec := range sections {
+		if e.inboxes[i], err = RestoreSection(sec, &e.ctxs[i], ck.snaps[i], ck.codec); err != nil {
 			return -1, err
 		}
-		e.dones[i] = flags&1 != 0
-		state, err := d.bytes(int(d.uvarint()))
-		if err != nil {
-			return -1, err
-		}
-		if err := ck.snaps[i].RestoreState(state); err != nil {
-			return -1, fmt.Errorf("core: restore machine %d: %w", i, err)
-		}
-		nOut := int(d.uvarint())
-		outs := make([]Envelope[M], 0, nOut)
-		for j := 0; j < nOut; j++ {
-			env := Envelope[M]{
-				From:  MachineID(i),
-				To:    MachineID(d.uvarint()),
-				Words: int32(d.uvarint()),
-			}
-			m, n, err := ck.codec.Decode(d.src[d.off:])
-			if err != nil {
-				return -1, fmt.Errorf("core: decode checkpoint envelope (machine %d): %w", i, err)
-			}
-			d.off += n
-			env.Msg = m
-			outs = append(outs, env)
-		}
-		e.outs[i] = outs
-		e.inboxes[i] = nil
 		e.panics[i] = nil
 	}
-	if d.err != nil {
-		return -1, fmt.Errorf("core: corrupt checkpoint: %w", d.err)
-	}
+	cut.Recoveries = stats.Recoveries
+	*stats = *cut
 	return step, nil
-}
-
-// ckDecoder is a cursor over a checkpoint blob that latches the first
-// error, so the decode body reads linearly.
-type ckDecoder struct {
-	src []byte
-	off int
-	err error
-}
-
-func (d *ckDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n, err := wire.Uvarint(d.src[d.off:])
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *ckDecoder) byte() (byte, error) {
-	if d.err == nil && d.off >= len(d.src) {
-		d.err = fmt.Errorf("truncated")
-	}
-	if d.err != nil {
-		return 0, d.err
-	}
-	b := d.src[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *ckDecoder) bytes(n int) ([]byte, error) {
-	if d.err == nil && (n < 0 || d.off+n > len(d.src)) {
-		d.err = fmt.Errorf("truncated")
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	b := d.src[d.off : d.off+n]
-	d.off += n
-	return b, nil
 }
 
 // RunCheckpointed executes the cluster over t with the configured
@@ -552,7 +582,7 @@ func (d *ckDecoder) bytes(n int) ([]byte, error) {
 // attributed *transport.MachineError and the context is still live, the
 // dead transport is replaced by one from reopen, every machine is
 // restored in place from the latest checkpoint, and the run resumes at
-// the checkpointed superstep's FinishSuperstep — a deterministic replay
+// the superstep after the checkpointed one — a deterministic replay
 // whose output is bit-identical to an unkilled run. Recovery is
 // attempted up to the policy's MaxRecoveries; Stats.Recoveries counts
 // the replacements performed.
@@ -580,11 +610,11 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 	}
 
 	stats := newStats(c.cfg.K)
-	defer stats.finalize()
+	defer stats.Finalize()
 	e := c.newEngine()
 	defer e.shutdown()
 
-	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec, rngs: c.rngs, resume: -2}
+	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec}
 	if err := ck.arm(c, e, stats); err != nil {
 		return stats, err
 	}
@@ -595,8 +625,8 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 			cur.Close()
 		}
 	}()
-	for {
-		err := c.run(e, cur, runCtx, stats, ck)
+	for start := 0; ; {
+		err := c.run(e, cur, runCtx, stats, ck, start)
 		if err == nil {
 			return stats, nil
 		}
@@ -617,10 +647,6 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		}
 		cur = nt
 		stats.Recoveries++
-		if step >= 0 {
-			ck.resume = step
-		} else {
-			ck.resume = -2 // restart-from-zero: the arm-time image was restored
-		}
+		start = step + 1
 	}
 }

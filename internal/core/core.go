@@ -150,8 +150,8 @@ type Config struct {
 	Streaming bool
 	// Checkpoint opts the run into per-superstep checkpointing and
 	// in-run recovery (see checkpoint.go): every Checkpoint.Every
-	// supersteps a consistent cut of all machine state is captured at
-	// the observation barrier into Checkpoint.Sink, and a run driven by
+	// supersteps a consistent cut of all machines is captured after the
+	// superstep's exchange into Checkpoint.Sink, and a run driven by
 	// RunCheckpointed survives machine loss by restoring the latest cut
 	// and replaying. Off by default (Every == 0): the superstep loop's
 	// hook is a single nil check, keeping the zero-allocation steady
@@ -236,83 +236,106 @@ func Bits(words int64, n int) int64 {
 	return words * int64(Log2Words(n))
 }
 
-// AccountSuperstep computes one superstep's communication profile from
-// the directed link-load matrix (linkWords[i*k+j] = words machine i
-// sent to machine j; self-links must already be excluded — local
-// computation is free) and the cross-machine message count. recv and
-// sent are caller-owned scratch vectors of length k: the function
-// zeroes and then fills them with the per-machine receive/send totals
-// for the run aggregates, so a caller accounting many supersteps can
-// thread the same two slices through every call and allocate nothing.
-//
-// Together with accountSparse (the engine's touched-links variant, same
-// arithmetic over a sparse index list) this is the home of the paper's
-// §1.1 cost model — max(1, ceil(max-link-words/Bandwidth)) rounds —
-// shared by the in-process cluster (RunOn) and the standalone
-// coordinator (transport/node), which is what makes Stats bit-identical
-// across substrates by construction.
-func AccountSuperstep(k, bandwidth int, linkWords []int64, messages int64, recv, sent []int64) SuperstepStat {
-	ss := SuperstepStat{Messages: messages}
-	for i := 0; i < k; i++ {
-		recv[i], sent[i] = 0, 0
+// LinkRow is one sender's row of a superstep's directed link-load
+// matrix: Words[j] is what the sender put on its link to machine j.
+// Only the entries listed in touched are nonzero, so charging and
+// clearing a row cost O(links used), not O(k).
+type LinkRow struct {
+	Words   []int64
+	touched []int32
+}
+
+// NewLinkRow returns an empty row for a k-machine cluster.
+func NewLinkRow(k int) LinkRow {
+	return LinkRow{Words: make([]int64, k), touched: make([]int32, 0, k)}
+}
+
+// Add charges w words to the link towards machine to; w <= 0 is a
+// no-op.
+func (r *LinkRow) Add(to int, w int64) {
+	if w <= 0 {
+		return
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			w := linkWords[i*k+j]
-			if w == 0 {
-				continue
-			}
+	if r.Words[to] == 0 {
+		r.touched = append(r.touched, int32(to))
+	}
+	r.Words[to] += w
+}
+
+// Reset zeroes the row.
+func (r *LinkRow) Reset() {
+	for _, j := range r.touched {
+		r.Words[j] = 0
+	}
+	r.touched = r.touched[:0]
+}
+
+// Ledger is the home of the paper's §1.1 cost model, shared by the
+// in-process engine and the node runtime's coordinator — which is what
+// makes Stats bit-identical across substrates by construction. Rows[i]
+// collects machine i's link loads for the current superstep (filled by
+// ChargeOuts, or from node reports); Charge prices the superstep and
+// clears the rows. Reusing one Ledger across supersteps allocates
+// nothing.
+type Ledger struct {
+	Rows             []LinkRow
+	bandwidth        int
+	dropPerSuperstep bool
+	recv, sent       []int64
+}
+
+// NewLedger builds the accounting state of a k-machine run.
+func NewLedger(k, bandwidth int, dropPerSuperstep bool) *Ledger {
+	l := &Ledger{
+		Rows:             make([]LinkRow, k),
+		bandwidth:        bandwidth,
+		dropPerSuperstep: dropPerSuperstep,
+		recv:             make([]int64, k),
+		sent:             make([]int64, k),
+	}
+	words, touched := make([]int64, k*k), make([]int32, k*k)
+	for i := range l.Rows {
+		l.Rows[i] = LinkRow{Words: words[i*k : (i+1)*k : (i+1)*k], touched: touched[i*k : i*k : (i+1)*k]}
+	}
+	return l
+}
+
+// Charge prices the superstep whose link loads the rows hold —
+// max(1, ceil(max-link-words / Bandwidth)) rounds, the quantity bounded
+// in Lemma 13 and Lemmas 12/14 — together with its cross-machine
+// message count, and folds it into stats. The sums and maxima are
+// order-independent, so the result does not depend on which schedule
+// or substrate filled the rows. The rows are cleared for the next
+// superstep.
+func (l *Ledger) Charge(stats *Stats, messages int64) {
+	ss := SuperstepStat{Messages: messages}
+	clear(l.recv)
+	clear(l.sent)
+	for i := range l.Rows {
+		row := &l.Rows[i]
+		for _, j := range row.touched {
+			w := row.Words[j]
+			row.Words[j] = 0
 			ss.Words += w
-			recv[j] += w
-			sent[i] += w
-			if w > ss.MaxLinkWords {
-				ss.MaxLinkWords = w
-			}
+			l.recv[j] += w
+			l.sent[i] += w
+			ss.MaxLinkWords = max(ss.MaxLinkWords, w)
 		}
+		row.touched = row.touched[:0]
 	}
-	finishSuperstep(&ss, bandwidth, recv, sent)
-	return ss
-}
-
-// accountSparse is AccountSuperstep over a sparse link set: touched
-// lists the indices of linkLoad with traffic this superstep (built by
-// the engine while stamping envelopes), and each visited entry is
-// re-zeroed so linkLoad is clean for the next superstep without an
-// O(k²) sweep. The sums and maxima are order-independent, so the
-// resulting SuperstepStat is identical to the dense computation.
-func accountSparse(k, bandwidth int, linkLoad []int64, touched []int32, messages int64, recv, sent []int64) SuperstepStat {
-	ss := SuperstepStat{Messages: messages}
-	for i := 0; i < k; i++ {
-		recv[i], sent[i] = 0, 0
+	for i := range l.recv {
+		ss.MaxRecvWords = max(ss.MaxRecvWords, l.recv[i])
+		ss.MaxSentWords = max(ss.MaxSentWords, l.sent[i])
+		stats.RecvWords[i] += l.recv[i]
+		stats.SentWords[i] += l.sent[i]
 	}
-	for _, idx := range touched {
-		w := linkLoad[idx]
-		linkLoad[idx] = 0
-		ss.Words += w
-		recv[int(idx)%k] += w
-		sent[int(idx)/k] += w
-		if w > ss.MaxLinkWords {
-			ss.MaxLinkWords = w
-		}
-	}
-	finishSuperstep(&ss, bandwidth, recv, sent)
-	return ss
-}
-
-// finishSuperstep derives the per-machine extremes and the round charge
-// — the arithmetic tail shared by the dense and sparse accountings.
-func finishSuperstep(ss *SuperstepStat, bandwidth int, recv, sent []int64) {
-	for i := range recv {
-		if recv[i] > ss.MaxRecvWords {
-			ss.MaxRecvWords = recv[i]
-		}
-		if sent[i] > ss.MaxSentWords {
-			ss.MaxSentWords = sent[i]
-		}
-	}
-	ss.Rounds = 1
-	if r := (ss.MaxLinkWords + int64(bandwidth) - 1) / int64(bandwidth); r > 1 {
-		ss.Rounds = r
+	ss.Rounds = max(1, (ss.MaxLinkWords+int64(l.bandwidth)-1)/int64(l.bandwidth))
+	stats.Rounds += ss.Rounds
+	stats.Supersteps++
+	stats.Messages += ss.Messages
+	stats.Words += ss.Words
+	if !l.dropPerSuperstep {
+		stats.PerSuperstep = append(stats.PerSuperstep, ss)
 	}
 }
 
@@ -368,9 +391,10 @@ func (c *Cluster[M]) Run() (*Stats, error) {
 	return c.RunOn(t)
 }
 
-// finalize computes MaxRecvWords from the per-machine totals; Run defers
-// it so that both normal and error returns carry consistent stats.
-func (s *Stats) finalize() {
+// Finalize computes MaxRecvWords from the per-machine totals. Every
+// runtime calls it on its way out, so normal and error returns alike
+// carry consistent stats; it is idempotent.
+func (s *Stats) Finalize() {
 	for _, w := range s.RecvWords {
 		if w > s.MaxRecvWords {
 			s.MaxRecvWords = w

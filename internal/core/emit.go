@@ -34,11 +34,6 @@ type Emitter[M any] struct {
 	words   []int64
 	emitted []bool
 	touched []int32 // peers with emitted[·] set, for O(touched) Reset
-	// batches[i] is the batch emitted to touched[i]. The transport
-	// contract keeps it readable until FinishSuperstep, which is what
-	// lets a checkpoint cut taken before the finish encode it as
-	// pending outs.
-	batches [][]Envelope[M]
 }
 
 // NewEmitter builds the emission state for machine self of a k-machine
@@ -51,7 +46,6 @@ func NewEmitter[M any](sender transport.BatchSender[M], self MachineID, k int) *
 		words:   make([]int64, k),
 		emitted: make([]bool, k),
 		touched: make([]int32, 0, k),
-		batches: make([][]Envelope[M], 0, k),
 	}
 }
 
@@ -67,8 +61,6 @@ func (em *Emitter[M]) Reset() {
 		em.words[j] = 0
 	}
 	em.touched = em.touched[:0]
-	clear(em.batches)
-	em.batches = em.batches[:0]
 	em.msgs = 0
 	em.anySent = false
 	em.err = nil
@@ -77,25 +69,6 @@ func (em *Emitter[M]) Reset() {
 // Err returns the first transport error a SendBatch hit this
 // superstep, or nil. A non-nil Err is fatal for the run.
 func (em *Emitter[M]) Err() error { return em.err }
-
-// EmittedTo reports whether a batch was already streamed to peer `to`
-// this superstep — such a peer must not appear in the machine's
-// returned rest envelopes.
-func (em *Emitter[M]) EmittedTo(to MachineID) bool {
-	return int(to) >= 0 && int(to) < em.k && em.emitted[to]
-}
-
-// AccountInto folds the superstep's emitted word loads into row (the
-// sender's length-k row of the link-load matrix) and returns the
-// emitted envelope count plus whether anything was emitted at all. The
-// sums are order-independent, so merging them with the rest envelopes'
-// loads reproduces the lockstep accounting exactly.
-func (em *Emitter[M]) AccountInto(row []int64) (messages int64, any bool) {
-	for _, j := range em.touched {
-		row[j] += em.words[j]
-	}
-	return em.msgs, em.anySent
-}
 
 // EmitBatch streams one finished per-peer batch to machine `to` and
 // reports whether the transport took it. On true, the batch belongs to
@@ -139,7 +112,6 @@ func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
 	}
 	em.emitted[to] = true
 	em.touched = append(em.touched, int32(to))
-	em.batches = append(em.batches, batch)
 	em.words[to] = words
 	em.msgs += int64(len(batch))
 	em.anySent = true

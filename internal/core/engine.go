@@ -17,11 +17,9 @@ import (
 //     go/WaitGroup churn in the loop);
 //   - each worker owns one StepContext for the whole run, with only the
 //     Superstep field updated between barriers;
-//   - link loads are accumulated sparsely — only the links actually
-//     touched this superstep are visited and re-zeroed, instead of
-//     clearing the dense k×k matrix every superstep;
-//   - the per-machine receive/send scratch vectors are reused across
-//     supersteps (see accountSparse / AccountSuperstep).
+//   - link loads are accumulated sparsely in a reused Ledger — only the
+//     links actually touched this superstep are visited and re-zeroed,
+//     instead of clearing the dense k×k matrix every superstep.
 //
 // The superstep protocol is two barrier phases per superstep:
 //
@@ -126,15 +124,25 @@ func (e *engine[M]) worker(i int) {
 	}
 }
 
-// stepMachine runs one Step with panic recovery; a recovered panic is
-// surfaced to the coordinator through panics[i].
+// stepMachine runs machine i's Step; a recovered panic is surfaced to
+// the coordinator through panics[i].
 func (e *engine[M]) stepMachine(i int) {
+	e.outs[i], e.dones[i], e.panics[i] = StepMachine(e.machines[i], &e.ctxs[i], e.inboxes[i])
+}
+
+// StepMachine runs one Step with panic recovery: a panicking machine
+// becomes an error naming it and the superstep, instead of killing the
+// process. Both runtimes (this engine and the node runtime) step
+// machines through it, so a faulty algorithm fails identically on
+// every substrate.
+func StepMachine[M any](m Machine[M], ctx *StepContext, inbox []Envelope[M]) (out []Envelope[M], done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.panics[i] = fmt.Errorf("core: machine %d panicked in superstep %d: %v", i, e.ctxs[i].Superstep, r)
+			err = fmt.Errorf("core: machine %d panicked in superstep %d: %v", ctx.Self, ctx.Superstep, r)
 		}
 	}()
-	e.outs[i], e.dones[i] = e.machines[i].Step(&e.ctxs[i], e.inboxes[i])
+	out, done = m.Step(ctx, inbox)
+	return out, done, nil
 }
 
 // superstep drives one start/step/done cycle for all workers.
@@ -217,37 +225,10 @@ func (c *Cluster[M]) runContext() context.Context {
 // hashes are unchanged.
 func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
 	stats := newStats(c.cfg.K)
-	defer stats.finalize()
+	defer stats.Finalize()
 	e := c.newEngine()
 	defer e.shutdown()
-	return stats, c.run(e, t, c.runContext(), stats, nil)
-}
-
-// linkAcc is the run's link-load accumulator: linkLoad is dense (k×k)
-// but only the entries in touched are nonzero, so accounting and
-// re-zeroing cost O(touched links), not O(k²). recvS/sentS are the
-// per-superstep scratch reused by accountSparse.
-type linkAcc struct {
-	linkLoad     []int64
-	touched      []int32
-	recvS, sentS []int64
-}
-
-func newLinkAcc(k int) *linkAcc {
-	return &linkAcc{
-		linkLoad: make([]int64, k*k),
-		touched:  make([]int32, 0, 4*k),
-		recvS:    make([]int64, k),
-		sentS:    make([]int64, k),
-	}
-}
-
-// add charges w words to the directed link idx = from*k+to.
-func (a *linkAcc) add(idx int, w int64) {
-	if a.linkLoad[idx] == 0 {
-		a.touched = append(a.touched, int32(idx))
-	}
-	a.linkLoad[idx] += w
+	return stats, c.run(e, t, c.runContext(), stats, nil, 0)
 }
 
 // run is the superstep loop, one schedule for every substrate: compute
@@ -262,14 +243,14 @@ func (a *linkAcc) add(idx int, w int64) {
 // The §1.1 accounting does not depend on the schedule. Every envelope is
 // validated and From-stamped in core before the transport sees it —
 // streamed batches in EmitBatch (on the emitting worker's goroutine),
-// rest envelopes in account — and the link-load sums fold the emitters'
-// records and the rest loads together after the step barrier; since
-// per-link sums and maxima are order-independent, the resulting
-// SuperstepStat is the same whichever schedule carried the envelopes.
-// Mixing schedules per peer is forbidden (a machine that streamed a
-// batch to j must not also return rest envelopes for j), which keeps
-// each receiver's per-sender envelope order — and hence the golden
-// output hashes — schedule-independent.
+// rest envelopes in ChargeOuts — and the link-load sums fold the
+// emitters' records and the rest loads together after the step
+// barrier; since per-link sums and maxima are order-independent, the
+// resulting SuperstepStat is the same whichever schedule carried the
+// envelopes. Mixing schedules per peer is forbidden (a machine that
+// streamed a batch to j must not also return rest envelopes for j),
+// which keeps each receiver's per-sender envelope order — and hence the
+// golden output hashes — schedule-independent.
 //
 // Termination quiesces BEFORE FinishSuperstep, so a streaming run's
 // final superstep is deliberately left open and the transport's Close
@@ -277,38 +258,42 @@ func (a *linkAcc) add(idx int, w int64) {
 // would ship k(k-1) empty frames the lockstep schedule never sends,
 // breaking wire-byte parity.
 //
-// ck, when non-nil, arms per-superstep checkpointing (see
-// checkpoint.go): a cut of all machines is captured every ck.every
-// supersteps after accounting and before FinishSuperstep, and a resume
-// request (ck.resume >= 0, set by RunCheckpointed after restoring a
-// checkpoint) re-enters the loop at that superstep's FinishSuperstep
-// with the restored outs, skipping the already-executed compute and
-// accounting. With ck nil the hook is a single nil check.
-func (c *Cluster[M]) run(e *engine[M], t Transport[M], runCtx context.Context, stats *Stats, ck *ckRun[M]) error {
+// The loop starts at superstep start: 0 for a fresh run, s+1 after
+// RunCheckpointed restored the cut taken after superstep s. ck, when
+// non-nil, arms per-superstep checkpointing (see checkpoint.go): a cut
+// of all machines is captured every ck.every supersteps, right after
+// the superstep's FinishSuperstep. With ck nil the hook is a single nil
+// check.
+func (c *Cluster[M]) run(e *engine[M], t Transport[M], runCtx context.Context, stats *Stats, ck *ckRun[M], start int) error {
 	for _, em := range e.emitters {
 		em.sender = t
 	}
-	acc := newLinkAcc(c.cfg.K)
-	start, resumed := 0, false
-	if ck != nil && ck.resume >= 0 {
-		start, resumed = ck.resume, true
-		ck.resume = -2
-	}
+	ledger := NewLedger(c.cfg.K, c.cfg.Bandwidth, c.cfg.DropPerSuperstep)
 	for step := start; ; step++ {
-		done, err := c.superstep(e, t, runCtx, step, stats, acc, ck, resumed)
+		done, err := c.superstep(e, t, runCtx, step, stats, ledger)
 		if done || err != nil {
 			return err
 		}
-		resumed = false
+		// The cut: superstep step is fully executed — state, RNG draws,
+		// accounting, and the exchange that filled the inboxes superstep
+		// step+1 reads.
+		if ck != nil && (step+1)%ck.every == 0 {
+			if err := ck.capture(step, e, stats); err != nil {
+				return fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
+			}
+		}
 	}
 }
 
 // superstep drives superstep step; done reports quiescent termination.
-// resumed skips compute and accounting: machines, stats, and outs hold
-// the restored post-compute image of this superstep, so it goes
-// straight to retrying its FinishSuperstep.
 func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Context, step int,
-	stats *Stats, acc *linkAcc, ck *ckRun[M], resumed bool) (done bool, err error) {
+	stats *Stats, ledger *Ledger) (done bool, err error) {
+	if step >= c.cfg.MaxSupersteps {
+		return false, ErrMaxSupersteps
+	}
+	if err := runCtx.Err(); err != nil {
+		return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
+	}
 	var sctx context.Context
 	var cancel context.CancelFunc
 	defer func() {
@@ -316,45 +301,28 @@ func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Cont
 			cancel()
 		}
 	}()
-	if !resumed {
-		if step >= c.cfg.MaxSupersteps {
-			return false, ErrMaxSupersteps
+	if e.emitters != nil {
+		for _, em := range e.emitters {
+			em.Reset()
 		}
-		if err := runCtx.Err(); err != nil {
-			return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
+		if sctx, cancel, err = c.begin(t, runCtx, step); err != nil {
+			return false, err
 		}
-		if e.emitters != nil {
-			for _, em := range e.emitters {
-				em.Reset()
-			}
-			if sctx, cancel, err = c.begin(t, runCtx, step); err != nil {
-				return false, err
-			}
+	}
+	e.superstep(step)
+	for _, perr := range e.panics {
+		if perr != nil {
+			return false, perr
 		}
-		e.superstep(step)
-		for _, perr := range e.panics {
-			if perr != nil {
-				return false, perr
-			}
-		}
-		// Second cancellation point, between the step barrier and the
-		// exchange: a cancel that landed while machines were stepping
-		// aborts before any rest envelope reaches the transport.
-		if err := runCtx.Err(); err != nil {
-			return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
-		}
-		if done, err := c.account(e, runCtx, step, stats, acc); done || err != nil {
-			return done, err
-		}
-		// The observation-barrier cut: everything above (state, RNG
-		// draws, accounting) is included, FinishSuperstep below is not
-		// — a restore retries it. Quiescence returned before this point,
-		// so a captured superstep always has an exchange to retry.
-		if ck != nil && (step+1)%ck.every == 0 {
-			if err := ck.capture(step, e, stats); err != nil {
-				return false, fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
-			}
-		}
+	}
+	// Second cancellation point, between the step barrier and the
+	// exchange: a cancel that landed while machines were stepping
+	// aborts before any rest envelope reaches the transport.
+	if err := runCtx.Err(); err != nil {
+		return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
+	}
+	if done, err := c.account(e, runCtx, step, stats, ledger); done || err != nil {
+		return done, err
 	}
 
 	// Deliver through the transport; the contract guarantees inboxes
@@ -418,78 +386,70 @@ func transportFailed(runCtx context.Context, step int, op string, err error) err
 	return fmt.Errorf("core: transport %s failed in superstep %d: %w", op, step, err)
 }
 
-// account validates and From-stamps the rest envelopes, folds them and
-// the emitters' records into the touched link loads, and charges the
-// superstep to stats; the cost arithmetic itself lives in
-// accountSparse/AccountSuperstep, shared with the standalone
-// coordinator. done reports quiescence: every machine done and nothing
-// sent, in which case nothing is charged.
-func (c *Cluster[M]) account(e *engine[M], runCtx context.Context, step int, stats *Stats, acc *linkAcc) (done bool, err error) {
-	k := c.cfg.K
+// account charges every machine's superstep through ChargeOuts and
+// prices it in the ledger. done reports quiescence: every machine done
+// and nothing sent, in which case nothing is charged.
+func (c *Cluster[M]) account(e *engine[M], runCtx context.Context, step int, stats *Stats, ledger *Ledger) (done bool, err error) {
 	var messages int64
 	allDone, pending := true, false
-	for i := 0; i < k; i++ {
+	for i := range e.outs {
 		var em *Emitter[M]
 		if e.emitters != nil {
 			em = e.emitters[i]
 			if serr := em.Err(); serr != nil {
 				return false, transportFailed(runCtx, step, fmt.Sprintf("send from machine %d", i), serr)
 			}
-			for _, j := range em.touched {
-				if w := em.words[j]; w > 0 {
-					acc.add(i*k+int(j), w)
-				}
-			}
-			messages += em.msgs
-			if em.anySent {
-				pending = true
-			}
 		}
-		if !e.dones[i] {
-			allDone = false
+		msgs, sent, err := ChargeOuts(&ledger.Rows[i], MachineID(i), step, e.outs[i], em)
+		if err != nil {
+			return false, err
 		}
-		if len(e.outs[i]) > 0 {
-			pending = true
-		}
-		for j := range e.outs[i] {
-			env := &e.outs[i][j]
-			if env.To < 0 || int(env.To) >= k {
-				return false, fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
-			}
-			if env.Words < 0 {
-				return false, fmt.Errorf("core: machine %d sent negative-size envelope", i)
-			}
-			env.From = MachineID(i)
-			if int(env.To) == i {
-				// Self-addressed envelopes are free: local computation
-				// costs nothing in the model.
-				continue
-			}
-			if em != nil && em.emitted[env.To] {
-				return false, fmt.Errorf("core: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", i, env.To, step)
-			}
-			messages++
-			if w := int64(env.Words); w > 0 {
-				acc.add(i*k+int(env.To), w)
-			}
-		}
+		messages += msgs
+		pending = pending || sent
+		allDone = allDone && e.dones[i]
 	}
 	if allDone && !pending {
 		return true, nil
 	}
-
-	ss := accountSparse(k, c.cfg.Bandwidth, acc.linkLoad, acc.touched, messages, acc.recvS, acc.sentS)
-	acc.touched = acc.touched[:0]
-	for i := 0; i < k; i++ {
-		stats.RecvWords[i] += acc.recvS[i]
-		stats.SentWords[i] += acc.sentS[i]
-	}
-	stats.Rounds += ss.Rounds
-	stats.Supersteps++
-	stats.Messages += ss.Messages
-	stats.Words += ss.Words
-	if !c.cfg.DropPerSuperstep {
-		stats.PerSuperstep = append(stats.PerSuperstep, ss)
-	}
+	ledger.Charge(stats, messages)
 	return false, nil
+}
+
+// ChargeOuts is the per-machine half of the §1.1 accounting, shared by
+// this engine and the node runtime so the rejection rules exist once.
+// It validates and From-stamps machine self's returned envelopes for
+// superstep step, and charges them — plus the batches em streamed this
+// superstep (em nil when no emitter is bound) — to row. Self-addressed
+// envelopes are free: local computation costs nothing in the model.
+// messages counts the cross-machine envelopes; sent reports whether the
+// machine sent anything at all, self-addressed included, which is what
+// keeps a cluster from quiescing.
+func ChargeOuts[M any](row *LinkRow, self MachineID, step int, outs []Envelope[M], em *Emitter[M]) (messages int64, sent bool, err error) {
+	k := len(row.Words)
+	if em != nil {
+		for _, j := range em.touched {
+			row.Add(int(j), em.words[j])
+		}
+		messages, sent = em.msgs, em.anySent
+	}
+	sent = sent || len(outs) > 0
+	for j := range outs {
+		env := &outs[j]
+		if env.To < 0 || int(env.To) >= k {
+			return 0, false, fmt.Errorf("core: machine %d sent to invalid machine %d", self, env.To)
+		}
+		if env.Words < 0 {
+			return 0, false, fmt.Errorf("core: machine %d sent negative-size envelope", self)
+		}
+		env.From = self
+		if env.To == self {
+			continue
+		}
+		if em != nil && em.emitted[env.To] {
+			return 0, false, fmt.Errorf("core: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", self, env.To, step)
+		}
+		messages++
+		row.Add(int(env.To), int64(env.Words))
+	}
+	return messages, sent, nil
 }

@@ -26,7 +26,7 @@ import (
 //	          sink's Put counters give bytes per checkpoint
 //	recover   chaos kills machine 3 mid-run; the cluster restores the
 //	          latest checkpoint onto a replacement transport and
-//	          replays at most e-1 supersteps
+//	          replays at most e supersteps
 //	restart   the same kill with the first periodic checkpoint still
 //	          ahead of it, so recovery falls back to the arm-time
 //	          superstep -1 image — an exact restart-from-zero, the
@@ -129,9 +129,9 @@ func E25Recovery(cfg Config) (Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("all arms produced the base run's output hash (bit-identical recovery): %v", hashOK),
 		fmt.Sprintf("every killed arm performed exactly one machine replacement: %v", recoveries == 2*len(sizes)),
-		"recover replays at most every-1 supersteps past the restored cut; restart-0 replays the whole prefix — the saving is the replay-distance gap",
-		"overhead is the healthy-run price of snapshotting all k machines each cadence (state codec + envelope re-encode at the observation barrier)",
-		"B/ckpt is the full consistent cut: per-machine state blobs, RNG words, pending envelopes, and the Stats prefix (core.MemorySink counters)")
+		"recover replays at most every supersteps past the restored cut; restart-0 replays the whole prefix — the saving is the replay-distance gap",
+		"overhead is the healthy-run price of snapshotting all k machines each cadence (state codec + inbox re-encode after the exchange)",
+		"B/ckpt is the full consistent cut: per-machine state blobs, RNG words, next-superstep inboxes, and the Stats prefix (core.MemorySink counters)")
 	return t, nil
 }
 

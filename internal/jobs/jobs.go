@@ -540,13 +540,14 @@ func (s *Scheduler) run() {
 			}
 		}
 
-		// Checkpoint-opted jobs own a per-job store: it must outlive the
+		// Checkpoint-opted jobs own a per-job sink: it must outlive the
 		// mesh rebuilds between attempts, which is exactly what makes
-		// resume-from-checkpoint possible.
+		// resume-from-checkpoint possible. (A Dir-backed sink is its
+		// directory, which outlives them anyway.)
 		maxRec := 0
 		if req.Prob.Checkpoint.Every > 0 {
-			if req.Prob.Checkpoint.Store == nil {
-				req.Prob.Checkpoint.Store = node.NewCheckpointStore(s.backend.K())
+			if req.Prob.Checkpoint.Sink == nil && req.Prob.Checkpoint.Dir == "" {
+				req.Prob.Checkpoint.Sink = core.NewMemorySink(0)
 			}
 			maxRec = req.Prob.Checkpoint.MaxRecoveries
 			if maxRec == 0 {

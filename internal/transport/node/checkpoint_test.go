@@ -1,18 +1,21 @@
 package node
 
-// White-box tests for the standalone runtime's checkpoint plane: the
-// per-machine KMNP parts written into a CheckpointStore at the
-// coordinator's continue verdict, and the ctrlResume round that aligns
-// a resumed cluster on the restored superstep. The property under test
-// is the same as everywhere in this repo: arming checkpoints changes
-// nothing observable, and resuming from a store reproduces the golden
-// run bit for bit.
+// White-box tests for the node runtime's checkpoint plane: per-node
+// sections of core's cut, captured at the coordinator's continue
+// verdict and assembled into one checkpoint blob in a
+// core.CheckpointSink, and the resume that restores every node from
+// the sink's latest blob before the first superstep. The property under
+// test is the same as everywhere in this repo: arming checkpoints
+// changes nothing observable, and resuming from a sink reproduces the
+// golden run bit for bit.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"kmachine/internal/core"
@@ -125,8 +128,10 @@ func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
 
 // TestNodeCheckpointedRunMatchesGolden: arming the checkpoint plane on
 // the node runtime must not perturb Stats or outputs under either
-// schedule, and the store must end the run holding a complete (all k
-// parts + coordinator stats) checkpoint of a pre-final superstep.
+// schedule, the sink must end the run holding a checkpoint of a
+// pre-final superstep, and that blob must be byte-identical to the one
+// core's engine writes for the same cut of the same computation — one
+// format, one cut, on both runtimes.
 func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 	for _, sc := range ckSchedules {
 		t.Run(sc.name, func(t *testing.T) { checkCheckpointedRun(t, sc.streaming) })
@@ -137,8 +142,8 @@ func checkCheckpointedRun(t *testing.T, streaming bool) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	store := NewCheckpointStore(k)
-	ckStats, ckSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Store: store})
+	sink := core.NewMemorySink(0)
+	ckStats, ckSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Sink: sink})
 	checkStreamed(t, streaming, streamed)
 	sameCkStats(t, "checkpointed-vs-golden", ckStats, goldenStats)
 	for i := range goldenSums {
@@ -146,22 +151,41 @@ func checkCheckpointedRun(t *testing.T, streaming bool) {
 			t.Errorf("machine %d sum %d with checkpointing, %d without", i, ckSums[i], goldenSums[i])
 		}
 	}
-	latest := store.LatestComplete()
-	if latest < 0 {
-		t.Fatal("no complete checkpoint in the store after a checkpointed run")
+	latest, blob, err := sink.Latest()
+	if err != nil || latest < 0 {
+		t.Fatalf("no checkpoint in the sink after a checkpointed run (latest %d, err %v)", latest, err)
 	}
 	if latest >= goldenStats.Supersteps-1 {
-		t.Errorf("latest complete checkpoint at superstep %d, want a pre-final superstep of a %d-superstep run",
+		t.Errorf("latest checkpoint at superstep %d, want a pre-final superstep of a %d-superstep run",
 			latest, goldenStats.Supersteps)
 	}
-	if store.Puts() == 0 || store.Bytes() == 0 {
-		t.Errorf("store counters empty: puts=%d bytes=%d", store.Puts(), store.Bytes())
+	// One Put per complete checkpoint (after supersteps 1, 3, 5, 7).
+	if want := (goldenStats.Supersteps) / 2; sink.Puts() != want || sink.Bytes() == 0 {
+		t.Errorf("sink counters: puts=%d bytes=%d, want %d complete checkpoints", sink.Puts(), sink.Bytes(), want)
+	}
+
+	coreSink := core.NewMemorySink(0)
+	cluster := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 77, Streaming: streaming,
+		Checkpoint: core.CheckpointPolicy{Every: 2, Sink: coreSink}},
+		func(id core.MachineID) core.Machine[failMsg] { return &ckMachine{self: id} })
+	tr, err := core.OpenTransport[failMsg]("", k, failCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := cluster.RunCheckpointed(tr, failCodec{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	coreStep, coreBlob, _ := coreSink.Latest()
+	if coreStep != latest || !bytes.Equal(coreBlob, blob) {
+		t.Errorf("node checkpoint (superstep %d, %d bytes) differs from core's for the same cut (superstep %d, %d bytes)",
+			latest, len(blob), coreStep, len(coreBlob))
 	}
 	testutil.NoLeakedGoroutines(t, base)
 }
 
 // TestNodeResumeFromStoreDeterministic: fresh machines resumed from a
-// prior run's store replay only the post-checkpoint tail, and the total
+// prior run's sink replay only the post-checkpoint tail, and the total
 // Stats and final outputs are bit-identical to the golden run — the
 // node-runtime half of the scheduler's resume-from-checkpoint protocol.
 // Under streaming both the capturing and the resumed run stream.
@@ -175,13 +199,13 @@ func checkResumeFromStore(t *testing.T, streaming bool) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	store := NewCheckpointStore(k)
-	_, _, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Store: store})
+	sink := core.NewMemorySink(0)
+	_, _, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Sink: sink})
 	checkStreamed(t, streaming, streamed)
-	if store.LatestComplete() < 0 {
-		t.Fatal("no complete checkpoint to resume from")
+	if step, _, _ := sink.Latest(); step < 0 {
+		t.Fatal("no checkpoint to resume from")
 	}
-	resumedStats, resumedSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Store: store, Resume: true})
+	resumedStats, resumedSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Sink: sink, Resume: true})
 	checkStreamed(t, streaming, streamed)
 	sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
@@ -192,51 +216,42 @@ func checkResumeFromStore(t *testing.T, streaming bool) {
 	testutil.NoLeakedGoroutines(t, base)
 }
 
-// TestResumeWithEmptyStoreStartsFromZero: Resume against a store with
-// no complete checkpoint must degrade to a normal from-zero run — the
-// path a job takes when its machine died before the first capture.
+// TestResumeWithEmptyStoreStartsFromZero: Resume against a sink with
+// no checkpoint must degrade to a normal from-zero run — the path a job
+// takes when its machine died before the first capture.
 func TestResumeWithEmptyStoreStartsFromZero(t *testing.T) {
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	store := NewCheckpointStore(k)
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store, Resume: true})
+	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewMemorySink(0), Resume: true})
 	sameCkStats(t, "empty-resume-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {
-			t.Errorf("machine %d sum %d after empty-store resume, golden %d", i, resumedSums[i], goldenSums[i])
+			t.Errorf("machine %d sum %d after empty-sink resume, golden %d", i, resumedSums[i], goldenSums[i])
 		}
 	}
 }
 
-// TestPersistedCheckpointSurvivesProcessDeath: with Dir set, complete
-// checkpoints land on disk (at most two retained, no torn .tmp left
-// behind), and a *fresh* store loaded from the directory — the state a
-// restarted process has — resumes to the golden totals.
+// TestPersistedCheckpointSurvivesProcessDeath: with a core.FileSink,
+// complete checkpoints land on disk as ckpt-*.kmcp files (at most two
+// retained, no torn .tmp left behind), and a *fresh* sink over the
+// directory — the state a restarted process has — resumes to the
+// golden totals.
 func TestPersistedCheckpointSurvivesProcessDeath(t *testing.T) {
 	const k = 4
 	dir := t.TempDir()
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	if _, _ = runCkCluster(t, k, CheckpointConfig{Every: 2, Dir: dir}); true {
-		files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmnc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 || len(files) > 2 {
-			t.Fatalf("persisted %d checkpoint files %v, want 1..2", len(files), files)
-		}
-		if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
-			t.Fatalf("torn temp files left behind: %v", tmp)
-		}
-	}
-	fresh := NewCheckpointStore(k)
-	step, err := fresh.LoadFrom(dir)
+	runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewFileSink(dir)})
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmcp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step < 0 || step != fresh.LatestComplete() {
-		t.Fatalf("LoadFrom returned step %d, store says %d", step, fresh.LatestComplete())
+	if len(files) == 0 || len(files) > 2 {
+		t.Fatalf("persisted %d checkpoint files %v, want 1..2", len(files), files)
 	}
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: fresh, Resume: true})
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
+		t.Fatalf("torn temp files left behind: %v", tmp)
+	}
+	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewFileSink(dir), Resume: true})
 	sameCkStats(t, "disk-resumed-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {
@@ -245,24 +260,22 @@ func TestPersistedCheckpointSurvivesProcessDeath(t *testing.T) {
 	}
 }
 
-// TestLoadFromSkipsCorruptFiles: a truncated newest file must not
-// poison recovery — LoadFrom falls back to the next-newest valid one.
-func TestLoadFromSkipsCorruptFiles(t *testing.T) {
+// TestResumeSkipsCorruptCheckpointFiles: a truncated newest file must
+// not poison recovery — the sink falls back to the next-newest intact
+// one, and resuming from it still lands on the golden totals — and a
+// checkpoint written for another k is never restored.
+func TestResumeSkipsCorruptCheckpointFiles(t *testing.T) {
 	const k = 4
 	dir := t.TempDir()
-	store := NewCheckpointStore(k)
-	if err := store.PersistTo(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, _ = runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store}); store.LatestComplete() < 0 {
-		t.Fatal("no complete checkpoint persisted")
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmnc"))
+	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
+	runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewFileSink(dir)})
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmcp"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("glob: %v, %d files", err, len(files))
 	}
 	sort.Strings(files)
 	newest := files[len(files)-1]
+	newestStep, _, _ := core.NewFileSink(dir).Latest()
 	buf, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -270,20 +283,40 @@ func TestLoadFromSkipsCorruptFiles(t *testing.T) {
 	if err := os.WriteFile(newest, buf[:len(buf)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewCheckpointStore(k)
-	step, err := fresh.LoadFrom(dir)
+	step, _, err := core.NewFileSink(dir).Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) >= 2 {
-		if step < 0 {
-			t.Fatal("LoadFrom found nothing despite an intact older checkpoint")
+		if step < 0 || step >= newestStep {
+			t.Fatalf("Latest() = superstep %d with the newest (superstep %d) truncated, want the intact older checkpoint", step, newestStep)
+		}
+		resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewFileSink(dir), Resume: true})
+		sameCkStats(t, "fallback-resumed-vs-golden", resumedStats, goldenStats)
+		for i := range goldenSums {
+			if resumedSums[i] != goldenSums[i] {
+				t.Errorf("machine %d sum %d after fallback resume, golden %d", i, resumedSums[i], goldenSums[i])
+			}
 		}
 	} else if step >= 0 {
-		t.Fatalf("LoadFrom accepted the truncated file as superstep %d", step)
+		t.Fatalf("Latest() accepted the truncated file as superstep %d", step)
 	}
-	wrongK := NewCheckpointStore(k + 1)
-	if step, err := wrongK.LoadFrom(dir); err != nil || step >= 0 {
-		t.Fatalf("k-mismatched store loaded step %d, err %v; want -1, nil", step, err)
+	_, err = RunLocal(Config{K: k + 1, Bandwidth: 1, Seed: 77,
+		Checkpoint: CheckpointConfig{Every: 2, Sink: core.NewFileSink(dir), Resume: true}},
+		failCodec{}, func(id core.MachineID) core.Machine[failMsg] { return &ckMachine{self: id} })
+	if err == nil || !strings.Contains(err.Error(), "k=") {
+		t.Fatalf("k=%d run resumed from a k=%d checkpoint: err %v, want a k-mismatch error", k+1, k, err)
+	}
+}
+
+// TestStandaloneRunRejectsCheckpointing: a single standalone node can
+// never assemble a complete checkpoint, so Run refuses the policy up
+// front with one explicit error instead of running unprotected.
+func TestStandaloneRunRejectsCheckpointing(t *testing.T) {
+	_, err := Run(Config{ID: 0, K: 2, Bandwidth: 1, ListenAddr: "127.0.0.1:0",
+		Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Checkpoint: CheckpointConfig{Every: 2}},
+		core.Machine[failMsg](&ckMachine{}), failCodec{})
+	if err == nil || !strings.Contains(err.Error(), "standalone Run cannot assemble a checkpoint") {
+		t.Fatalf("standalone Run with Checkpoint.Every=2: err %v, want the explicit rejection", err)
 	}
 }

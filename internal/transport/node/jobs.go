@@ -131,16 +131,11 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 		return nil, fmt.Errorf("node: job IDs start at 1")
 	}
 	k := lm.k
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Store == nil {
-		// A private store still checkpoints, but recovery needs the
-		// caller (the job scheduler) to own the store so it survives the
-		// mesh rebuild between attempts.
-		cfg.Checkpoint.Store = NewCheckpointStore(k)
-	}
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Dir != "" {
-		if err := cfg.Checkpoint.Store.PersistTo(cfg.Checkpoint.Dir); err != nil {
-			return nil, err
-		}
+	// Recovery needs the caller (the job scheduler) to own the sink, so
+	// it survives the mesh rebuild between attempts.
+	ck, err := openCheckpoints(cfg.Checkpoint, k)
+	if err != nil {
+		return nil, err
 	}
 	eps := make([]*tcp.Endpoint[M], k)
 	for i := 0; i < k; i++ {
@@ -172,7 +167,7 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 			mcfg.ID = i
 			mcfg.ListenAddr, mcfg.Peers = "", nil
 			if err := mcfg.validate(); err == nil {
-				stats[i], errs[i] = runJobNode(mcfg, eps[i], machines[i], job, codec)
+				stats[i], errs[i] = runJobNode(mcfg, eps[i], machines[i], job, codec, ck)
 			} else {
 				errs[i] = err
 			}
@@ -210,7 +205,7 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 // this job before any data frame ships; the end frames prove every
 // machine consumed its stop verdict — i.e. every connection is
 // quiescent — before the caller detaches the endpoints.
-func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M]) (*core.Stats, error) {
+func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], ck *cutPlane) (*core.Stats, error) {
 	runCtx := cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
@@ -233,7 +228,7 @@ func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job u
 	}
 	cancel()
 
-	stats, err := runLoop(cfg, ep, m, codec)
+	stats, err := runLoop(cfg, ep, m, codec, ck)
 	if err != nil {
 		return stats, err
 	}

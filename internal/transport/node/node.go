@@ -18,9 +18,7 @@
 package node
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -92,7 +90,8 @@ type Config struct {
 	Recorder obs.Recorder
 	// Checkpoint is the checkpoint/recovery policy (checkpoint.go). Off
 	// by default; when Every > 0 the machine must implement
-	// core.Snapshotter. Works under either schedule.
+	// core.Snapshotter. Works under either schedule, on RunLocal and
+	// RunJobLocal; standalone Run rejects it.
 	Checkpoint CheckpointConfig
 }
 
@@ -118,6 +117,12 @@ func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Checkpoint.Every > 0 {
+		// A checkpoint is one cut of all k machines, assembled in one
+		// process; a single standalone node only ever holds its own
+		// section.
+		return nil, errors.New("node: checkpointing needs all k machines in one process (RunLocal or RunJobLocal); standalone Run cannot assemble a checkpoint")
+	}
 	ep, err := tcp.Listen[M](cfg.ID, cfg.K, cfg.ListenAddr, codec)
 	if err != nil {
 		return nil, err
@@ -129,7 +134,7 @@ func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats
 	if cfg.Recorder != nil {
 		ep.SetRecorder(cfg.Recorder)
 	}
-	return runLoop(cfg, ep, m, codec)
+	return runLoop(cfg, ep, m, codec, nil)
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
@@ -138,16 +143,13 @@ func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats
 // factory is called once per machine, like core.NewCluster's. cfg is a
 // template: ID, ListenAddr, and Peers are ignored (every machine gets
 // its own loopback endpoint); K, Bandwidth, Seed, MaxSupersteps,
-// DropPerSuperstep, Context, and SuperstepTimeout apply to all.
+// DropPerSuperstep, Context, SuperstepTimeout, and Checkpoint apply to
+// all.
 func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, error) {
 	k := cfg.K
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Store == nil {
-		cfg.Checkpoint.Store = NewCheckpointStore(k)
-	}
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Dir != "" {
-		if err := cfg.Checkpoint.Store.PersistTo(cfg.Checkpoint.Dir); err != nil {
-			return nil, err
-		}
+	ck, err := openCheckpoints(cfg.Checkpoint, k)
+	if err != nil {
+		return nil, err
 	}
 	eps, err := tcp.NewLoopbackMesh[M](k, codec)
 	if err != nil {
@@ -180,7 +182,7 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 			mcfg.ID = i
 			mcfg.ListenAddr, mcfg.Peers = "", nil
 			if err := mcfg.validate(); err == nil {
-				stats[i], errs[i] = runLoop(mcfg, eps[i], machines[i], codec)
+				stats[i], errs[i] = runLoop(mcfg, eps[i], machines[i], codec, ck)
 			} else {
 				errs[i] = err
 			}
@@ -213,21 +215,22 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 // cfg.Context between phases and bounds every superstep's socket
 // operations with cfg.SuperstepTimeout, so a crashed or wedged peer
 // process surfaces as a machine-attributed error within the timeout on
-// this node rather than wedging it forever.
-func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
-	r := rng.NewStream(cfg.Seed, uint64(cfg.ID))
+// this node rather than wedging it forever. ck is the in-process
+// checkpoint plane, nil when checkpointing is off.
+func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M], ck *cutPlane) (*core.Stats, error) {
 	runCtx := cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
+	ctx := &core.StepContext{Self: core.MachineID(cfg.ID), K: cfg.K, RNG: rng.NewStream(cfg.Seed, uint64(cfg.ID))}
 	var coord *coordinator
 	if cfg.ID == 0 {
 		coord = newCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
 	}
 	var inbox []core.Envelope[M]
 	var snap core.Snapshotter
-	ckEvery, ckStore := cfg.Checkpoint.Every, cfg.Checkpoint.Store
-	if ckEvery > 0 {
+	start := 0
+	if ck != nil {
 		var ok bool
 		if snap, ok = m.(core.Snapshotter); !ok {
 			return nil, fmt.Errorf("node: machine %d (%T) does not implement core.Snapshotter; checkpointing needs SnapshotState/RestoreState", cfg.ID, m)
@@ -235,48 +238,23 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		if codec == nil {
 			return nil, fmt.Errorf("node: machine %d checkpointing needs a message codec", cfg.ID)
 		}
-		if ckStore == nil {
-			return nil, fmt.Errorf("node: machine %d checkpointing needs a CheckpointStore", cfg.ID)
-		}
-	}
-	start := 0
-	if ckEvery > 0 && cfg.Checkpoint.Resume {
-		ckStep, err := resumeRound(cfg, ep, runCtx, ckStore)
-		if err != nil {
-			ep.Close()
-			return nil, err
-		}
-		if ckStep >= 0 {
-			part, ok := ckStore.Part(ckStep, cfg.ID)
-			if !ok {
-				ep.Close()
-				return nil, fmt.Errorf("node: machine %d has no checkpoint part for superstep %d", cfg.ID, ckStep)
-			}
-			if inbox, err = decodePart(part, ckStep, snap, r, codec); err != nil {
-				ep.Close()
-				return nil, fmt.Errorf("node: machine %d resume from superstep %d: %w", cfg.ID, ckStep, err)
+		if ck.sections != nil {
+			var err error
+			if inbox, err = core.RestoreSection(ck.sections[cfg.ID], ctx, snap, codec); err != nil {
+				return nil, fmt.Errorf("node: machine %d resume from superstep %d: %w", cfg.ID, ck.resumeAt, err)
 			}
 			if coord != nil {
-				blob, ok := ckStore.StatsBlob(ckStep)
-				if !ok {
-					ep.Close()
-					return nil, fmt.Errorf("node: coordinator has no checkpoint stats for superstep %d", ckStep)
-				}
-				if err := coord.restoreStats(blob); err != nil {
-					ep.Close()
-					return nil, err
-				}
+				coord.stats = ck.stats
 			}
-			start = ckStep + 1
+			start = ck.resumeAt + 1
 		}
 	}
-	linkScratch := make([]int64, cfg.K) // per-superstep link row, reused
-	var repBuf []byte                   // report encode scratch, reused
-	ctx := &core.StepContext{Self: core.MachineID(cfg.ID), K: cfg.K, RNG: r}
+	row := core.NewLinkRow(cfg.K) // this node's link loads, reused
+	var repBuf []byte             // report encode scratch, reused
 	// The emitter is bound only under Streaming, so core.EmitBatch hands
 	// finished per-peer batches to the endpoint mid-compute; unbound it
 	// records nothing and the superstep is lockstep.
-	em := core.NewEmitter[M](ep, core.MachineID(cfg.ID), cfg.K)
+	em := core.NewEmitter[M](ep, ctx.Self, cfg.K)
 	if cfg.Streaming {
 		em.Bind(ctx)
 	}
@@ -316,7 +294,7 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		if cfg.Recorder != nil {
 			t0 = obs.Now()
 		}
-		out, done, stepErr := stepSafely(m, ctx, inbox)
+		out, done, stepErr := core.StepMachine(m, ctx, inbox)
 		if cfg.Recorder != nil {
 			cfg.Recorder.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 				Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseCompute})
@@ -331,25 +309,19 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			ep.Close()
 			return coordStats(coord), fmt.Errorf("node: machine %d streaming emit failed in superstep %d: %w", cfg.ID, step, err)
 		}
-		for i := range linkScratch {
-			linkScratch[i] = 0
-		}
-		rep := report{done: done, emitted: len(out) > 0, linkWords: linkScratch}
+		// Validation and the per-link charge are core's own, so the
+		// report carries exactly the row core's engine would account.
+		rep := report{done: done, linkWords: row.Words}
 		if stepErr == nil {
-			stepErr = validateAndAccount(cfg, out, &rep, em, step)
+			rep.messages, rep.emitted, stepErr = core.ChargeOuts(&row, ctx.Self, step, out, em)
 		}
-		// Fold the eager emissions into the same report the rest
-		// envelopes filled: order-independent sums, so the coordinator's
-		// accounting does not depend on the schedule.
-		msgs, any := em.AccountInto(rep.linkWords)
-		rep.messages += msgs
-		rep.emitted = rep.emitted || any
 		if stepErr != nil {
 			rep.err = stepErr.Error()
 			out = nil // still participate in the exchange so peers don't hang
 		}
-
 		repBuf = rep.appendEncode(repBuf[:0], step)
+		row.Reset()
+
 		var v verdict
 		var next []core.Envelope[M]
 		var err error
@@ -373,14 +345,12 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		switch v.kind {
 		case verdictContinue:
 			inbox = next
-			if ckEvery > 0 && (step+1)%ckEvery == 0 {
-				// Capture after the continue verdict: the coordinator's
-				// Stats already include this superstep, the RNG sits at
-				// its post-compute position, and inbox holds exactly the
-				// messages superstep step+1 consumes — streamed batches
-				// included — so a resumed run re-enters at step+1 with
-				// nothing to re-account.
-				if err := captureNode(cfg, ckStore, step, r, snap, inbox, codec, coord); err != nil {
+			if ck != nil && (step+1)%ck.every == 0 {
+				// core's cut: the coordinator's Stats already include
+				// this superstep, the RNG sits at its post-compute
+				// position, and inbox holds exactly the messages
+				// superstep step+1 consumes.
+				if err := capture(ck, step, ctx, snap, inbox, codec, coord); err != nil {
 					ep.Close()
 					return coordStats(coord), fmt.Errorf("node: machine %d checkpoint at superstep %d: %w", cfg.ID, step, err)
 				}
@@ -509,51 +479,14 @@ func abortBroadcast[M any](ep *tcp.Endpoint[M], sctx context.Context, cause erro
 }
 
 // coordStats returns the coordinator's (possibly partial) statistics
-// for error returns, finalized like core's deferred stats.finalize() so
-// MaxRecvWords is consistent on every path.
+// for error returns, finalized like core's so MaxRecvWords is
+// consistent on every path.
 func coordStats(c *coordinator) *core.Stats {
 	if c == nil {
 		return nil
 	}
-	c.finalize()
+	c.stats.Finalize()
 	return c.stats
-}
-
-// stepSafely runs one Step with core's panic recovery semantics.
-func stepSafely[M any](m core.Machine[M], ctx *core.StepContext, inbox []core.Envelope[M]) (out []core.Envelope[M], done bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("node: machine %d panicked in superstep %d: %v", ctx.Self, ctx.Superstep, rec)
-		}
-	}()
-	out, done = m.Step(ctx, inbox)
-	return out, done, nil
-}
-
-// validateAndAccount mirrors core's per-envelope validation and
-// From-stamping, and fills the report's link-word vector (self links
-// are free, exactly like core). It also enforces the no-mixing rule: a
-// peer that already received a streamed batch this superstep must not
-// reappear in the rest envelopes.
-func validateAndAccount[M any](cfg Config, out []core.Envelope[M], rep *report, em *core.Emitter[M], step int) error {
-	for j := range out {
-		e := &out[j]
-		if e.To < 0 || int(e.To) >= cfg.K {
-			return fmt.Errorf("node: machine %d sent to invalid machine %d", cfg.ID, e.To)
-		}
-		if e.Words < 0 {
-			return fmt.Errorf("node: machine %d sent negative-size envelope", cfg.ID)
-		}
-		e.From = core.MachineID(cfg.ID)
-		if int(e.To) != cfg.ID {
-			if em.EmittedTo(e.To) {
-				return fmt.Errorf("node: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", cfg.ID, e.To, step)
-			}
-			rep.linkWords[e.To] += int64(e.Words)
-			rep.messages++
-		}
-	}
-	return nil
 }
 
 // report is one node's per-superstep account to the coordinator.
@@ -606,73 +539,55 @@ func decodeReportInto(rep *report, buf []byte, wantStep int) error {
 		return fmt.Errorf("node: empty report")
 	}
 	flags := buf[0]
-	pos := 1
-	var hdr [3]uint64
-	for i := range hdr {
-		v, n, err := wire.Uvarint(buf[pos:])
-		if err != nil {
-			return fmt.Errorf("node: corrupt report: %w", err)
-		}
-		hdr[i] = v
-		pos += n
+	c := wire.Cursor{Src: buf, Off: 1}
+	step, messages := c.Uvarint(), c.Uvarint()
+	// Each link word costs at least one byte: a corrupt count is
+	// rejected before it sizes the slice.
+	n := c.Count(1)
+	if c.Err != nil {
+		return fmt.Errorf("node: corrupt report: %w", c.Err)
 	}
-	if int(hdr[0]) != wantStep {
-		return fmt.Errorf("node: report for superstep %d, want %d", hdr[0], wantStep)
+	if step != uint64(wantStep) {
+		return fmt.Errorf("node: report for superstep %d, want %d", step, wantStep)
 	}
 	rep.done = flags&repFlagDone != 0
 	rep.emitted = flags&repFlagEmitted != 0
-	rep.messages = int64(hdr[1])
-	n := int(hdr[2])
-	if n > len(buf)-pos {
-		// Each link word costs at least one byte: reject a corrupt count
-		// before sizing the slice by it.
-		return fmt.Errorf("node: report claims %d links in %d bytes", n, len(buf)-pos)
-	}
+	rep.messages = int64(messages)
 	if cap(rep.linkWords) < n {
 		rep.linkWords = make([]int64, n)
 	}
 	rep.linkWords = rep.linkWords[:n]
 	for i := range rep.linkWords {
-		v, n, err := wire.Uvarint(buf[pos:])
-		if err != nil {
-			return fmt.Errorf("node: corrupt report: %w", err)
-		}
-		rep.linkWords[i] = int64(v)
-		pos += n
+		rep.linkWords[i] = int64(c.Uvarint())
+	}
+	if c.Err != nil {
+		return fmt.Errorf("node: corrupt report: %w", c.Err)
 	}
 	rep.err = ""
 	if flags&repFlagError != 0 {
-		rep.err = string(buf[pos:])
+		rep.err = string(buf[c.Off:])
 	}
 	return nil
 }
 
-// coordinator aggregates reports into core-identical Stats. The
-// linkWords/recvS/sentS scratch is reused across supersteps, mirroring
-// the allocation-free accounting of core's engine.
+// coordinator aggregates reports into core-identical Stats through
+// core's own Ledger, reused across supersteps like core's engine.
 type coordinator struct {
-	k                int
-	bandwidth        int
-	dropPerSuperstep bool
-	stats            *core.Stats
-	linkWords        []int64
-	recvS, sentS     []int64
-	reports          []*report
+	k       int
+	stats   *core.Stats
+	ledger  *core.Ledger
+	reports []*report
 }
 
 func newCoordinator(k, bandwidth int, dropPerSuperstep bool) *coordinator {
 	c := &coordinator{
-		k:                k,
-		bandwidth:        bandwidth,
-		dropPerSuperstep: dropPerSuperstep,
+		k: k,
 		stats: &core.Stats{
 			RecvWords: make([]int64, k),
 			SentWords: make([]int64, k),
 		},
-		linkWords: make([]int64, k*k),
-		recvS:     make([]int64, k),
-		sentS:     make([]int64, k),
-		reports:   make([]*report, k),
+		ledger:  core.NewLedger(k, bandwidth, dropPerSuperstep),
+		reports: make([]*report, k),
 	}
 	for i := range c.reports {
 		c.reports[i] = &report{linkWords: make([]int64, 0, k)}
@@ -680,8 +595,8 @@ func newCoordinator(k, bandwidth int, dropPerSuperstep bool) *coordinator {
 	return c
 }
 
-// process runs core's accounting arithmetic on one superstep's reports
-// and returns the verdict to broadcast.
+// process charges one superstep's reports and returns the verdict to
+// broadcast.
 func (c *coordinator) process(step int, payloads [][]byte) ([]byte, error) {
 	reports := c.reports
 	for i, p := range payloads {
@@ -699,49 +614,26 @@ func (c *coordinator) process(step int, payloads [][]byte) ([]byte, error) {
 		}
 	}
 
-	// Assemble the k×k link-load matrix from the per-node rows and hand
-	// it to the exact accounting function core.RunOn uses — the shared
-	// arithmetic is what makes the two substrates' Stats bit-identical
-	// by construction. Every row is fully overwritten, so the reused
-	// scratch matrix needs no zeroing between supersteps.
+	// Each report is its node's row of the link-load matrix; the ledger
+	// is the one core.RunOn charges, which is what makes the two
+	// runtimes' Stats bit-identical by construction.
 	var messages int64
 	allDone, pending := true, false
 	for i, rep := range reports {
-		if !rep.done {
-			allDone = false
+		allDone = allDone && rep.done
+		pending = pending || rep.emitted
+		for j, w := range rep.linkWords {
+			c.ledger.Rows[i].Add(j, w)
 		}
-		if rep.emitted {
-			pending = true
-		}
-		copy(c.linkWords[i*c.k:(i+1)*c.k], rep.linkWords)
 		messages += rep.messages
 	}
 	if allDone && !pending {
 		// Quiescent: like core, the final silent superstep is free.
-		c.finalize()
-		return encodeStop(c.stats)
+		c.stats.Finalize()
+		return encodeStop(c.stats), nil
 	}
-	ss := core.AccountSuperstep(c.k, c.bandwidth, c.linkWords, messages, c.recvS, c.sentS)
-	for i := 0; i < c.k; i++ {
-		c.stats.RecvWords[i] += c.recvS[i]
-		c.stats.SentWords[i] += c.sentS[i]
-	}
-	c.stats.Rounds += ss.Rounds
-	c.stats.Supersteps++
-	c.stats.Messages += ss.Messages
-	c.stats.Words += ss.Words
-	if !c.dropPerSuperstep {
-		c.stats.PerSuperstep = append(c.stats.PerSuperstep, ss)
-	}
+	c.ledger.Charge(c.stats, messages)
 	return []byte{verdictContinue}, nil
-}
-
-func (c *coordinator) finalize() {
-	for _, w := range c.stats.RecvWords {
-		if w > c.stats.MaxRecvWords {
-			c.stats.MaxRecvWords = w
-		}
-	}
 }
 
 // Verdict kinds (first payload byte).
@@ -757,13 +649,10 @@ type verdict struct {
 	errMsg string
 }
 
-func encodeStop(stats *core.Stats) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(verdictStop)
-	if err := gob.NewEncoder(&buf).Encode(stats); err != nil {
-		return nil, fmt.Errorf("node: encode final stats: %w", err)
-	}
-	return buf.Bytes(), nil
+// encodeStop is the stop verdict: the final Stats in core's varint
+// record (core.AppendStats), the codec checkpoints use.
+func encodeStop(stats *core.Stats) []byte {
+	return core.AppendStats([]byte{verdictStop}, stats)
 }
 
 func encodeAbort(msg string) []byte {
@@ -778,8 +667,9 @@ func decodeVerdict(buf []byte) (verdict, error) {
 	switch v.kind {
 	case verdictContinue:
 	case verdictStop:
-		v.stats = &core.Stats{}
-		if err := gob.NewDecoder(bytes.NewReader(buf[1:])).Decode(v.stats); err != nil {
+		c := wire.Cursor{Src: buf, Off: 1}
+		v.stats = core.DecodeStats(&c)
+		if err := c.Finish(); err != nil {
 			return verdict{}, fmt.Errorf("node: decode final stats: %w", err)
 		}
 	case verdictAbort:

@@ -116,6 +116,34 @@ func (c *Cursor) Uint64() uint64 {
 	return v
 }
 
+// Bytes reads n raw bytes, returned as a sub-slice of Src (not a copy).
+func (c *Cursor) Bytes(n int) []byte {
+	if c.Err == nil && (n < 0 || n > len(c.Src)-c.Off) {
+		c.Err = fmt.Errorf("wire: %d-byte read overruns %d remaining bytes", n, len(c.Src)-c.Off)
+	}
+	if c.Err != nil {
+		return nil
+	}
+	b := c.Src[c.Off : c.Off+n]
+	c.Off += n
+	return b
+}
+
+// Count reads a uvarint element count whose elements each take at
+// least min >= 1 bytes of what follows, and rejects a count the unread
+// bytes cannot hold — so a corrupt or hostile count fails here, before
+// any loop or allocation sized by it runs.
+func (c *Cursor) Count(min int) int {
+	v := c.Uvarint()
+	if c.Err == nil && v > uint64((len(c.Src)-c.Off)/min) {
+		c.Err = fmt.Errorf("wire: count %d of %d-byte elements overruns %d remaining bytes", v, min, len(c.Src)-c.Off)
+	}
+	if c.Err != nil {
+		return 0
+	}
+	return int(v)
+}
+
 // Finish returns the latched error, or an error if trailing bytes
 // remain unconsumed — a decode that must account for the whole blob
 // (checkpoint restore) calls it last.

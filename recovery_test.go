@@ -132,10 +132,10 @@ const recVictim = 3
 type recCase struct {
 	name string
 	// killStep places the fault at a superstep the algorithm actually
-	// reaches; the cadence of 2 means routing's superstep-0 kill lands
-	// before any periodic capture and exercises the arm-time
-	// restart-from-zero image, while the deeper kills resume from a
-	// genuine mid-run checkpoint.
+	// reaches; the cadence of 2 puts the first cut after superstep 1's
+	// exchange, so routing's superstep-0 kill lands before any periodic
+	// capture and exercises the arm-time restart-from-zero image, while
+	// the superstep-2 kills resume from a genuine mid-run checkpoint.
 	killStep int
 	// emits marks the algorithms whose machines stream batches through
 	// core.EmitBuckets; their streaming arms must show SendBatch
@@ -194,10 +194,10 @@ func TestRecoveryRegistryWideBitIdentical(t *testing.T) {
 		{"conncomp", 2, false, func(t *testing.T, arm recArm, ks int, emits bool) {
 			checkRecovered(t, conncomp.Descriptor(failN), graphIn, failK, arm, ks, emits)
 		}},
-		{"triangle", 1, false, func(t *testing.T, arm recArm, ks int, emits bool) {
+		{"triangle", 2, false, func(t *testing.T, arm recArm, ks int, emits bool) {
 			checkRecovered(t, triangle.Descriptor(failK, triangle.AlgorithmOptions()), graphIn, failK, arm, ks, emits)
 		}},
-		{"dsort", 1, true, func(t *testing.T, arm recArm, ks int, emits bool) {
+		{"dsort", 2, true, func(t *testing.T, arm recArm, ks int, emits bool) {
 			checkRecovered(t, sortAlgo, edgeless, failK, arm, ks, emits)
 		}},
 		{"routing", 0, false, func(t *testing.T, arm recArm, ks int, emits bool) {
