@@ -105,8 +105,7 @@ func main() {
 		eps       = flag.Float64("eps", 0.15, "PageRank reset probability")
 		top       = flag.Int("top", 5, "how many top-ranked vertices to print")
 		timeout   = flag.Duration("dial-timeout", 10*time.Second, "how long to wait for peers to come up")
-		deadline  = flag.Duration("superstep-timeout", 0, "per-superstep deadline, covering BeginSuperstep through FinishSuperstep; a crashed or wedged peer surfaces as an attributed error within it (0 = none)")
-		streaming = flag.Bool("streaming", false, "streaming supersteps: overlap compute with communication by shipping per-peer batches mid-superstep (results and stats are identical)")
+		deadline  = flag.Duration("superstep-timeout", 0, "per-superstep deadline, covering the superstep's exchange; a crashed or wedged peer surfaces as an attributed error within it (0 = none)")
 		ckEvery   = flag.Int("checkpoint-every", 0, "capture machine state every s supersteps and survive machine failures by resuming from the last checkpoint (0 = off, fail fast)")
 		ckDir     = flag.String("checkpoint-dir", "", "persist checkpoints to this directory instead of memory only — each complete cluster checkpoint lands as a ckpt-*.kmcp file, the newest two kept (needs -checkpoint-every)")
 		retain    = flag.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
@@ -140,7 +139,7 @@ func main() {
 	}
 
 	prob := algo.Problem{N: *n, EdgeP: *p, Seed: *seed, Bandwidth: *bw, Eps: *eps, Top: *top,
-		SuperstepTimeout: *deadline, Streaming: *streaming, Sharded: *sharded, InputPath: *input,
+		SuperstepTimeout: *deadline, Sharded: *sharded, InputPath: *input,
 		Checkpoint: algo.CheckpointSpec{Every: *ckEvery, Dir: *ckDir}}
 	switch {
 	case *local >= 2:

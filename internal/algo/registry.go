@@ -57,13 +57,6 @@ type Problem struct {
 	// measure time only — Stats, outputs, and hashes are identical with
 	// or without a recorder. nil (the default) records nothing.
 	Recorder obs.Recorder
-	// Streaming opts the run into streaming supersteps on every
-	// substrate (core.Config.Streaming / node.Config.Streaming):
-	// opted-in machines overlap compute with communication by handing
-	// finished per-peer batches to the transport mid-superstep. Purely a
-	// scheduling knob — Stats, outputs, and hashes are bit-identical
-	// with it on or off. Default off.
-	Streaming bool
 	// Sharded opts setup into partition-local input construction
 	// (kmnode -sharded): each machine's View is a per-machine CSR shard
 	// built from the generator's canonical per-row stream (or ingested
@@ -147,7 +140,7 @@ func (prob Problem) withDefaults() Problem {
 func (prob Problem) nodeConfig(k int) node.Config {
 	return node.Config{K: k, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder, Streaming: prob.Streaming,
+		Recorder: prob.Recorder,
 		Checkpoint: node.CheckpointConfig{Every: prob.Checkpoint.Every,
 			Sink: prob.Checkpoint.sink(), Resume: prob.Checkpoint.Resume}}
 }
@@ -157,7 +150,7 @@ func (prob Problem) nodeConfig(k int) node.Config {
 func (prob Problem) coreConfig(kind transport.Kind) core.Config {
 	cfg := core.Config{K: prob.K, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder, Streaming: prob.Streaming}
+		Recorder: prob.Recorder}
 	if ck := prob.Checkpoint; ck.Every > 0 {
 		sink := ck.sink()
 		if sink == nil {
@@ -373,9 +366,6 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 			}
 			if ncfg.Recorder == nil {
 				ncfg.Recorder = prob.Recorder
-			}
-			if prob.Streaming {
-				ncfg.Streaming = true
 			}
 			if ncfg.Checkpoint.Every == 0 {
 				// Carried through so node.Run rejects it explicitly

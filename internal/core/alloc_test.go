@@ -71,111 +71,6 @@ func TestSteadyStateSuperstepAllocBudget(t *testing.T) {
 	}
 }
 
-// runSteadyStreamCluster is runSteadyCluster on the streaming schedule:
-// the same ring traffic, but each machine hands its two per-neighbour
-// batches to the transport mid-Step through the emitter. Exercises the
-// whole streaming hot path — Emitter reset/validate/record, the engine's
-// streamStep fold, and the loopback transport's Begin/Send/Finish.
-func runSteadyStreamCluster(tb testing.TB, supersteps int, drop bool, rec obs.Recorder) {
-	tb.Helper()
-	const k = 8
-	c := NewCluster(Config{K: k, Bandwidth: 2, Seed: 7, DropPerSuperstep: drop, Recorder: rec, Streaming: true},
-		func(id MachineID) Machine[allocMsg] {
-			next := make([]Envelope[allocMsg], 0, 1)
-			prev := make([]Envelope[allocMsg], 0, 1)
-			out := make([]Envelope[allocMsg], 0, 2)
-			return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
-				if ctx.Superstep >= supersteps {
-					return nil, true
-				}
-				nj := MachineID((int(ctx.Self) + 1) % ctx.K)
-				pj := MachineID((int(ctx.Self) + ctx.K - 1) % ctx.K)
-				next = append(next[:0], Envelope[allocMsg]{To: nj, Words: 3})
-				prev = append(prev[:0], Envelope[allocMsg]{To: pj, Words: 2})
-				out = out[:0]
-				out = EmitOrAppend(ctx, nj, next, out)
-				out = EmitOrAppend(ctx, pj, prev, out)
-				return out, false
-			})
-		})
-	st, err := c.Run()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if st.Supersteps != supersteps {
-		tb.Fatalf("ran %d supersteps, want %d", st.Supersteps, supersteps)
-	}
-}
-
-// The streaming schedule owes the same zero-allocation steady state as
-// lockstep: emitters, their per-superstep resets, the streamStep
-// accounting fold, and the loopback streamer's staging must all recycle.
-// Budget headroom matches the lockstep fence; a single per-superstep
-// allocation (200 extra) fails immediately.
-func TestStreamingSuperstepAllocBudget(t *testing.T) {
-	const supersteps = 200
-	const budget = 170.0 // lockstep budget + one-time emitter/streamer setup
-	got := testing.AllocsPerRun(3, func() {
-		runSteadyStreamCluster(t, supersteps, true, nil)
-	})
-	if got > budget {
-		t.Errorf("streaming steady-state run allocated %.0f times, budget %.0f — a per-superstep allocation crept into the streaming hot path", got, budget)
-	}
-}
-
-// And with a live recorder: Record writes into the preallocated ring, so
-// instrumenting a streaming run must not add per-superstep allocations
-// either.
-func TestStreamingSuperstepAllocBudgetWithRecorder(t *testing.T) {
-	const supersteps = 200
-	const budget = 170.0
-	tr := obs.NewTrace(4096, 8)
-	got := testing.AllocsPerRun(3, func() {
-		runSteadyStreamCluster(t, supersteps, true, tr)
-	})
-	if got > budget {
-		t.Errorf("instrumented streaming run allocated %.0f times, budget %.0f — recording spans must not allocate", got, budget)
-	}
-	if c := tr.Counters(); c.Total == 0 {
-		t.Fatal("recorder saw no spans — the instrumented streaming path did not run")
-	}
-}
-
-// Streaming and lockstep must produce bit-identical Stats on identical
-// traffic — the engine-level form of the schedule-invariance oracle.
-func TestStreamingStatsMatchLockstep(t *testing.T) {
-	run := func(streaming bool) *Stats {
-		const k = 8
-		cfg := Config{K: k, Bandwidth: 2, Seed: 7, Streaming: streaming}
-		c := NewCluster(cfg, func(id MachineID) Machine[allocMsg] {
-			buf := make([]Envelope[allocMsg], 0, 2)
-			return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
-				if ctx.Superstep >= 20 {
-					return nil, true
-				}
-				nj := MachineID((int(ctx.Self) + 1) % ctx.K)
-				pj := MachineID((int(ctx.Self) + ctx.K - 1) % ctx.K)
-				buf = append(buf[:0],
-					Envelope[allocMsg]{To: nj, Words: 3},
-					Envelope[allocMsg]{To: pj, Words: 2})
-				out := EmitOrAppend(ctx, nj, buf[:1], nil)
-				return EmitOrAppend(ctx, pj, buf[1:], out), false
-			})
-		})
-		st, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	lock, stream := run(false), run(true)
-	if lock.Rounds != stream.Rounds || lock.Supersteps != stream.Supersteps ||
-		lock.Messages != stream.Messages || lock.Words != stream.Words ||
-		lock.MaxRecvWords != stream.MaxRecvWords {
-		t.Errorf("streaming stats diverge from lockstep:\nlock   %+v\nstream %+v", lock, stream)
-	}
-}
-
 // A live obs.Trace recorder must keep the hot path allocation-free too:
 // Record writes into the trace's preallocated ring, so the only extra
 // allocations allowed with the recorder ON are the engine's span

@@ -33,13 +33,11 @@ import (
 // inboxes.
 //
 // Placement of the cut, the same on both runtimes: after superstep s's
-// exchange (FinishSuperstep here; the continue verdict on the node
+// exchange (Exchange here; the continue verdict on the node
 // runtime). The Stats then already include s, machine state and RNG
 // sit at their post-compute position, and the inboxes hold exactly
-// what superstep s+1 reads — streamed batches included, since they
-// arrived through the exchange like everything else — so a resumed run
-// starts at s+1 with nothing to re-account and nothing in flight. A
-// machine lost before the next cut replays at most Every supersteps.
+// what superstep s+1 reads, so a resumed run starts at s+1 with
+// nothing to re-account and nothing in flight. A machine lost before the next cut replays at most Every supersteps.
 // Quiescence returns before the exchange, so the final superstep is
 // never captured. An additional arm-time image at superstep -1 (fresh
 // state, empty inboxes, zero stats) covers failures that land before
@@ -588,9 +586,8 @@ func (ck *ckRun[M]) restore(e *engine[M], stats *Stats) (int, error) {
 // the replacements performed.
 //
 // The caller owns t (and must Close it, as with RunOn); replacement
-// transports created from reopen are owned and closed here. The
-// schedule is Config.Streaming's, like RunOn's. With Checkpoint.Every
-// == 0 this is exactly RunOn.
+// transports created from reopen are owned and closed here. With
+// Checkpoint.Every == 0 this is exactly RunOn.
 func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen func() (Transport[M], error)) (*Stats, error) {
 	pol := c.cfg.Checkpoint
 	if pol.Every <= 0 {

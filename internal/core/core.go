@@ -91,13 +91,6 @@ type StepContext struct {
 	// RNG is the machine's private random stream (paper: "each machine
 	// has access to a private source of true random bits").
 	RNG *rng.RNG
-
-	// emitter is the machine's eager per-peer emission hook when the run
-	// streams supersteps (a *Emitter[M] bound by the engine or the node
-	// runtime); nil on the lockstep path. It is reached through the
-	// generic package-level EmitBatch/EmitOrAppend, because StepContext
-	// itself is deliberately non-generic.
-	emitter any
 }
 
 // Config configures a cluster run.
@@ -131,23 +124,12 @@ type Config struct {
 	// makes local computation free — only the phases between barriers.
 	Context context.Context
 	// SuperstepTimeout bounds each superstep's transport phase: the
-	// deadline covers BeginSuperstep through FinishSuperstep (under
-	// Streaming the superstep opens before compute, since the wire is
-	// active throughout). A peer that crashes or wedges mid-superstep
+	// deadline covers the superstep's Exchange. A peer that crashes or wedges mid-superstep
 	// surfaces as a machine-attributed error within the timeout instead
 	// of blocking the cluster forever. 0 means no per-superstep
 	// deadline; the happy-path behaviour (Stats, outputs, determinism)
 	// is identical with or without one.
 	SuperstepTimeout time.Duration
-	// Streaming binds an Emitter into every machine's StepContext:
-	// machines that emit per-peer batches through EmitBatch hand them to
-	// the transport while the superstep is still computing, instead of
-	// the compute → barrier → exchange lockstep. Every transport
-	// supports it. The knob changes scheduling only — §1.1 accounting
-	// stays pre-transport, so Stats, outputs, and determinism hashes are
-	// bit-identical with the flag on or off, with or without
-	// Checkpoint. Default off.
-	Streaming bool
 	// Checkpoint opts the run into per-superstep checkpointing and
 	// in-run recovery (see checkpoint.go): every Checkpoint.Every
 	// supersteps a consistent cut of all machines is captured after the
@@ -156,8 +138,7 @@ type Config struct {
 	// and replaying. Off by default (Every == 0): the superstep loop's
 	// hook is a single nil check, keeping the zero-allocation steady
 	// state and every golden hash unchanged. Checkpointing requires all
-	// machines to implement Snapshotter and works under either
-	// schedule.
+	// machines to implement Snapshotter.
 	Checkpoint CheckpointPolicy
 	// Recorder, when non-nil, receives wall-clock phase spans from the
 	// run: per machine and superstep, a compute span (the Step call) and

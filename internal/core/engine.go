@@ -28,7 +28,7 @@ import (
 //	start.Await() ───────────────▶   start.Await()
 //	                                 outs[i], dones[i] = Step(...)
 //	done.Await()  ◀───────────────   done.Await()
-//	validate, account, FinishSuperstep
+//	validate, account, Exchange
 //
 // All engine state (inboxes, outs, dones, panics, ctxs) is handed back
 // and forth through the barriers, whose internal mutex establishes the
@@ -83,10 +83,6 @@ type engine[M any] struct {
 	// non-nil (Config.Recorder); nil keeps workers on the span-free
 	// path the alloc fences pin.
 	rec obs.Recorder
-
-	// emitters[i] is machine i's bound Emitter when the run streams
-	// (Config.Streaming); nil is the lockstep schedule.
-	emitters []*Emitter[M]
 
 	inboxes [][]Envelope[M]
 	outs    [][]Envelope[M]
@@ -164,9 +160,7 @@ func (e *engine[M]) shutdown() {
 
 // newEngine builds the per-run engine state shared by RunOn and
 // RunCheckpointed and spawns the k workers; the caller must defer
-// shutdown. When the run streams (Config.Streaming) every machine gets
-// an Emitter bound into its StepContext; the superstep loop points the
-// emitters at whichever transport it drives.
+// shutdown.
 func (c *Cluster[M]) newEngine() *engine[M] {
 	k := c.cfg.K
 	e := &engine[M]{
@@ -180,15 +174,8 @@ func (c *Cluster[M]) newEngine() *engine[M] {
 		panics:   make([]error, k),
 		ctxs:     make([]StepContext, k),
 	}
-	if c.cfg.Streaming {
-		e.emitters = make([]*Emitter[M], k)
-	}
 	for i := 0; i < k; i++ {
 		e.ctxs[i] = StepContext{Self: MachineID(i), K: k, RNG: c.rngs[i]}
-		if e.emitters != nil {
-			e.emitters[i] = NewEmitter[M](nil, MachineID(i), k)
-			e.emitters[i].Bind(&e.ctxs[i])
-		}
 		go e.worker(i)
 	}
 	return e
@@ -218,9 +205,8 @@ func (c *Cluster[M]) runContext() context.Context {
 // Failure handling: Config.Context is observed between barrier phases
 // (a canceled run aborts before the next superstep's exchange), and
 // Config.SuperstepTimeout imposes a per-superstep deadline covering
-// BeginSuperstep through FinishSuperstep, so a dead or wedged peer
-// machine surfaces as a wrapped, machine-attributed error within the
-// timeout. Both knobs leave the happy path byte-identical: with neither
+// the superstep's Exchange, so a dead or wedged peer machine surfaces
+// as a wrapped, machine-attributed error within the timeout. Both knobs leave the happy path byte-identical: with neither
 // set, no context machinery is allocated and the golden determinism
 // hashes are unchanged.
 func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
@@ -232,42 +218,21 @@ func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
 }
 
 // run is the superstep loop, one schedule for every substrate: compute
-// → barrier → validate and account → FinishSuperstep. With no emitter
-// bound (lockstep) the transport superstep is opened right before it is
-// finished, so the wire is quiet during compute and the deadline covers
-// only the exchange. With emitters bound (Config.Streaming) it is opened
-// before the workers are released: machines hand finished per-peer
-// batches to the transport mid-compute, and FinishSuperstep ships the
-// rest and doubles as the barrier.
-//
-// The §1.1 accounting does not depend on the schedule. Every envelope is
-// validated and From-stamped in core before the transport sees it —
-// streamed batches in EmitBatch (on the emitting worker's goroutine),
-// rest envelopes in ChargeOuts — and the link-load sums fold the
-// emitters' records and the rest loads together after the step
-// barrier; since per-link sums and maxima are order-independent, the
-// resulting SuperstepStat is the same whichever schedule carried the
-// envelopes. Mixing schedules per peer is forbidden (a machine that
-// streamed a batch to j must not also return rest envelopes for j),
-// which keeps each receiver's per-sender envelope order — and hence the
-// golden output hashes — schedule-independent.
-//
-// Termination quiesces BEFORE FinishSuperstep, so a streaming run's
-// final superstep is deliberately left open and the transport's Close
-// (deferred by the caller) unblocks any parked I/O. Finishing it instead
-// would ship k(k-1) empty frames the lockstep schedule never sends,
-// breaking wire-byte parity.
+// → barrier → validate and account → Exchange. The wire is quiet
+// during compute and the per-superstep deadline covers only the
+// exchange. Every envelope is validated, From-stamped and charged in
+// core (ChargeOuts) before the transport sees it, so the §1.1
+// accounting is the same whichever substrate carries the envelopes.
+// Termination quiesces before the exchange, so the final superstep
+// ships nothing.
 //
 // The loop starts at superstep start: 0 for a fresh run, s+1 after
 // RunCheckpointed restored the cut taken after superstep s. ck, when
 // non-nil, arms per-superstep checkpointing (see checkpoint.go): a cut
 // of all machines is captured every ck.every supersteps, right after
-// the superstep's FinishSuperstep. With ck nil the hook is a single nil
+// the superstep's Exchange. With ck nil the hook is a single nil
 // check.
 func (c *Cluster[M]) run(e *engine[M], t Transport[M], runCtx context.Context, stats *Stats, ck *ckRun[M], start int) error {
-	for _, em := range e.emitters {
-		em.sender = t
-	}
 	ledger := NewLedger(c.cfg.K, c.cfg.Bandwidth, c.cfg.DropPerSuperstep)
 	for step := start; ; step++ {
 		done, err := c.superstep(e, t, runCtx, step, stats, ledger)
@@ -294,21 +259,6 @@ func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Cont
 	if err := runCtx.Err(); err != nil {
 		return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
 	}
-	var sctx context.Context
-	var cancel context.CancelFunc
-	defer func() {
-		if cancel != nil {
-			cancel()
-		}
-	}()
-	if e.emitters != nil {
-		for _, em := range e.emitters {
-			em.Reset()
-		}
-		if sctx, cancel, err = c.begin(t, runCtx, step); err != nil {
-			return false, err
-		}
-	}
 	e.superstep(step)
 	for _, perr := range e.panics {
 		if perr != nil {
@@ -317,11 +267,11 @@ func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Cont
 	}
 	// Second cancellation point, between the step barrier and the
 	// exchange: a cancel that landed while machines were stepping
-	// aborts before any rest envelope reaches the transport.
+	// aborts before any envelope reaches the transport.
 	if err := runCtx.Err(); err != nil {
 		return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
 	}
-	if done, err := c.account(e, runCtx, step, stats, ledger); done || err != nil {
+	if done, err := c.account(e, stats, ledger); done || err != nil {
 		return done, err
 	}
 
@@ -334,24 +284,17 @@ func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Cont
 	if e.rec != nil {
 		xt0 = obs.Now()
 	}
-	if sctx == nil {
-		if sctx, cancel, err = c.begin(t, runCtx, step); err != nil {
-			return false, err
-		}
-	}
-	next, err := t.FinishSuperstep(sctx, step, e.outs)
+	next, err := c.exchange(t, runCtx, step, e.outs)
 	if e.rec != nil {
-		// One cluster-level span per superstep (Machine -1): the finish
-		// is a barrier, so its duration is the whole cluster's
-		// communication phase — under streaming only the drain of
-		// whatever the eager path had not already shipped. Recorded on
-		// the error path too — a failed run's timeline is the one worth
-		// reading.
+		// One cluster-level span per superstep (Machine -1): the
+		// exchange is a barrier, so its duration is the whole cluster's
+		// communication phase. Recorded on the error path too — a
+		// failed run's timeline is the one worth reading.
 		e.rec.Record(obs.Span{Start: xt0, Dur: obs.Now() - xt0,
 			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
 	}
 	if err != nil {
-		return false, transportFailed(runCtx, step, "exchange", err)
+		return false, err
 	}
 	if len(next) != c.cfg.K {
 		return false, fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), c.cfg.K)
@@ -360,18 +303,21 @@ func (c *Cluster[M]) superstep(e *engine[M], t Transport[M], runCtx context.Cont
 	return false, nil
 }
 
-// begin opens superstep step on the transport under the per-superstep
+// exchange runs superstep step's Exchange under the per-superstep
 // deadline, when configured: the deadline context is the run's sole
 // allocation in a steady-state superstep, and only when the knob is on.
-func (c *Cluster[M]) begin(t Transport[M], runCtx context.Context, step int) (context.Context, context.CancelFunc, error) {
-	sctx, cancel := runCtx, context.CancelFunc(nil)
+func (c *Cluster[M]) exchange(t Transport[M], runCtx context.Context, step int, outs [][]Envelope[M]) ([][]Envelope[M], error) {
+	sctx := runCtx
 	if c.cfg.SuperstepTimeout > 0 {
+		var cancel context.CancelFunc
 		sctx, cancel = context.WithTimeout(runCtx, c.cfg.SuperstepTimeout)
+		defer cancel()
 	}
-	if err := t.BeginSuperstep(sctx, step); err != nil {
-		return sctx, cancel, transportFailed(runCtx, step, "begin", err)
+	next, err := t.Exchange(sctx, step, outs)
+	if err != nil {
+		return nil, transportFailed(runCtx, step, "exchange", err)
 	}
-	return sctx, cancel, nil
+	return next, nil
 }
 
 // transportFailed wraps a transport error. A run canceled mid-superstep
@@ -389,18 +335,11 @@ func transportFailed(runCtx context.Context, step int, op string, err error) err
 // account charges every machine's superstep through ChargeOuts and
 // prices it in the ledger. done reports quiescence: every machine done
 // and nothing sent, in which case nothing is charged.
-func (c *Cluster[M]) account(e *engine[M], runCtx context.Context, step int, stats *Stats, ledger *Ledger) (done bool, err error) {
+func (c *Cluster[M]) account(e *engine[M], stats *Stats, ledger *Ledger) (done bool, err error) {
 	var messages int64
 	allDone, pending := true, false
 	for i := range e.outs {
-		var em *Emitter[M]
-		if e.emitters != nil {
-			em = e.emitters[i]
-			if serr := em.Err(); serr != nil {
-				return false, transportFailed(runCtx, step, fmt.Sprintf("send from machine %d", i), serr)
-			}
-		}
-		msgs, sent, err := ChargeOuts(&ledger.Rows[i], MachineID(i), step, e.outs[i], em)
+		msgs, sent, err := ChargeOuts(&ledger.Rows[i], MachineID(i), e.outs[i])
 		if err != nil {
 			return false, err
 		}
@@ -417,22 +356,15 @@ func (c *Cluster[M]) account(e *engine[M], runCtx context.Context, step int, sta
 
 // ChargeOuts is the per-machine half of the §1.1 accounting, shared by
 // this engine and the node runtime so the rejection rules exist once.
-// It validates and From-stamps machine self's returned envelopes for
-// superstep step, and charges them — plus the batches em streamed this
-// superstep (em nil when no emitter is bound) — to row. Self-addressed
-// envelopes are free: local computation costs nothing in the model.
-// messages counts the cross-machine envelopes; sent reports whether the
-// machine sent anything at all, self-addressed included, which is what
-// keeps a cluster from quiescing.
-func ChargeOuts[M any](row *LinkRow, self MachineID, step int, outs []Envelope[M], em *Emitter[M]) (messages int64, sent bool, err error) {
+// It validates and From-stamps machine self's returned envelopes and
+// charges them to row. Self-addressed envelopes are free: local
+// computation costs nothing in the model. messages counts the
+// cross-machine envelopes; sent reports whether the machine sent
+// anything at all, self-addressed included, which is what keeps a
+// cluster from quiescing.
+func ChargeOuts[M any](row *LinkRow, self MachineID, outs []Envelope[M]) (messages int64, sent bool, err error) {
 	k := len(row.Words)
-	if em != nil {
-		for _, j := range em.touched {
-			row.Add(int(j), em.words[j])
-		}
-		messages, sent = em.msgs, em.anySent
-	}
-	sent = sent || len(outs) > 0
+	sent = len(outs) > 0
 	for j := range outs {
 		env := &outs[j]
 		if env.To < 0 || int(env.To) >= k {
@@ -444,9 +376,6 @@ func ChargeOuts[M any](row *LinkRow, self MachineID, step int, outs []Envelope[M
 		env.From = self
 		if env.To == self {
 			continue
-		}
-		if em != nil && em.emitted[env.To] {
-			return 0, false, fmt.Errorf("core: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", self, env.To, step)
 		}
 		messages++
 		row.Add(int(env.To), int64(env.Words))

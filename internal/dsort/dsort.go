@@ -104,11 +104,8 @@ type sortMachine struct {
 	delivBuf []smsg
 	outBuf   []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
-	// j; core.EmitBuckets streams the non-self buckets eagerly on
-	// streaming runs and appends them to the returned outs on lockstep
-	// runs, byte-identically either way. The broadcast supersteps (0 and
-	// 3) go further and emit each peer's batch as soon as its loop
-	// completes, overlapping the remaining peers' assembly with the wire.
+	// j; routing.AppendBuckets concatenates them into the returned outs
+	// in ascending destination order.
 	buckets [][]core.Envelope[wire]
 	// sortTmp is the radix-sort ping-pong buffer, shared by the three
 	// key sorts of a run.
@@ -225,12 +222,8 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			for _, s := range mySamples {
 				routing.RouteDirectBuckets(buckets, core.MachineID(j), 1, smsg{Kind: kindSample, Value: s})
 			}
-			// Peer j's broadcast batch is complete: hand it to the wire
-			// now (streaming runs) while the remaining peers' batches are
-			// still being assembled.
-			out = core.EmitOrAppend(ctx, core.MachineID(j), buckets[j], out)
 		}
-		out = append(out, buckets[ctx.Self]...)
+		out = routing.AppendBuckets(out, buckets)
 		return out, false
 
 	case 1:
@@ -248,12 +241,12 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			}
 			routing.RouteBuckets(buckets, ctx.RNG, ctx.K, core.MachineID(b), 1, smsg{Kind: kindKey, Value: key})
 		}
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		return out, false
 
 	case 2:
 		// Relay hop for key routing.
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		return out, false
 
 	case 3:
@@ -266,9 +259,8 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 				continue
 			}
 			routing.RouteDirectBuckets(buckets, core.MachineID(j), 1, smsg{Kind: kindSize, Count: int64(len(m.bucket))})
-			out = core.EmitOrAppend(ctx, core.MachineID(j), buckets[j], out)
 		}
-		out = append(out, buckets[ctx.Self]...)
+		out = routing.AppendBuckets(out, buckets)
 		return out, false
 
 	case 4:
@@ -304,17 +296,17 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			m.rebal++
 			routing.RouteBuckets(buckets, ctx.RNG, ctx.K, target, 1, smsg{Kind: kindFinal, Value: key})
 		}
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		return out, false
 
 	case 5:
 		// Relay hop for rebalance keys.
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		return out, false
 
 	default:
 		m.sortKeys(m.final)
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		return out, true
 	}
 }

@@ -60,7 +60,7 @@ func E21PhaseTimings(cfg Config) (Table, error) {
 		}
 		for _, sub := range substrates {
 			tr := obs.NewTrace(0, k)
-			prob := algo.Problem{N: j.n, K: k, Seed: cfg.Seed + 433, Recorder: tr, Streaming: cfg.Streaming}
+			prob := algo.Problem{N: j.n, K: k, Seed: cfg.Seed + 433, Recorder: tr}
 			out, err := entry.Run(prob, sub.kind)
 			if err != nil {
 				return t, fmt.Errorf("%s/%s: %w", j.name, sub.label, err)

@@ -29,7 +29,7 @@ func E19SubstrateMatrix(cfg Config) (Table, error) {
 	}
 	allAgree := true
 	for _, entry := range algo.Entries() {
-		prob := algo.Problem{N: n, K: 8, Seed: cfg.Seed + 191, Streaming: cfg.Streaming,
+		prob := algo.Problem{N: n, K: 8, Seed: cfg.Seed + 191,
 			Checkpoint: algo.CheckpointSpec{Every: cfg.CheckpointEvery, Dir: cfg.CheckpointDir}}
 		switch entry.Name {
 		case "pagerank":

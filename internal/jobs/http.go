@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -15,7 +16,9 @@ import (
 // kmnode's -debug-addr mux next to pprof and expvar:
 //
 //	POST /api/v1/jobs       submit a job        → 202 {id, state}
-//	                        (body over 1 MiB    → 413)
+//	                        (body over 1 MiB    → 413;
+//	                        unknown key or
+//	                        trailing data       → 400)
 //	GET  /api/v1/jobs       list jobs           → 200 [{...}]
 //	GET  /api/v1/jobs/{id}  job status + result → 200 {..., result}
 //	GET  /api/v1/status     scheduler gauges    → 200 {...}
@@ -28,6 +31,7 @@ import (
 // SubmitRequest is the POST /api/v1/jobs body. Zero values follow the
 // algo.Problem conventions (EdgeP 0 → 10/N, Bandwidth 0 →
 // DefaultBandwidth(N), ...); K may be 0 (the cluster's) or must match.
+// A body carrying any other key is rejected.
 type SubmitRequest struct {
 	Algo      string  `json:"algo"`
 	N         int     `json:"n"`
@@ -37,7 +41,6 @@ type SubmitRequest struct {
 	Bandwidth int     `json:"bandwidth,omitempty"`
 	Eps       float64 `json:"eps,omitempty"`
 	Top       int     `json:"top,omitempty"`
-	Streaming bool    `json:"streaming,omitempty"`
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	// CheckpointEvery opts the job into per-superstep checkpointing and
 	// machine-failure recovery: state is captured every
@@ -104,10 +107,29 @@ func (s *Scheduler) RegisterAPI(mux *http.ServeMux) {
 // from making the decoder buffer an unbounded stream.
 const maxSubmitBody = 1 << 20
 
+// decodeSubmit reads exactly one SubmitRequest object from body. Unknown
+// keys and trailing data are errors: a misspelt option or one this
+// server does not know must not silently run a different job.
+func decodeSubmit(body io.Reader) (SubmitRequest, error) {
+	var sr SubmitRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sr); err != nil {
+		return sr, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+		return sr, err
+	}
+	return sr, nil
+}
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
-	var sr SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+	sr, err := decodeSubmit(r.Body)
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -121,7 +143,6 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Prob: algo.Problem{
 			N: sr.N, EdgeP: sr.EdgeP, K: sr.K, Seed: sr.Seed,
 			Bandwidth: sr.Bandwidth, Eps: sr.Eps, Top: sr.Top,
-			Streaming:  sr.Streaming,
 			Checkpoint: algo.CheckpointSpec{Every: sr.CheckpointEvery},
 		},
 		Timeout: time.Duration(sr.TimeoutMS) * time.Millisecond,

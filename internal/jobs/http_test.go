@@ -153,6 +153,26 @@ func TestHTTPAPI(t *testing.T) {
 	if resp, _ := post("/api/v1/jobs", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: %d, want 413", resp.StatusCode)
 	}
+	// Strict bodies: an option this server does not know (the deleted
+	// streaming schedule), a misspelt key, trailing data after the
+	// object, and out-of-range values must all be refused, never run
+	// as a silently different job.
+	for _, body := range []string{
+		`{"algo":"pagerank","n":10,"streaming":true}`,
+		`{"algo":"pagerank","n":10,"checkpoint_evry":5}`,
+		`{"algo":"pagerank","n":10}{"algo":"pagerank","n":10}`,
+		`{"algo":"pagerank","n":10,"timeout_ms":-5}`,
+		`{"algo":"pagerank","n":10,"checkpoint_every":-1}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: %d, want 400", body, resp.StatusCode)
+		}
+	}
 	if resp, _ := get("/api/v1/jobs/9999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}

@@ -308,6 +308,12 @@ func (s *Scheduler) Submit(req Request) (uint64, error) {
 	if k := s.backend.K(); req.Prob.K != 0 && req.Prob.K != k {
 		return 0, fmt.Errorf("jobs: request wants k=%d on a k=%d cluster", req.Prob.K, k)
 	}
+	if req.Timeout < 0 {
+		return 0, fmt.Errorf("jobs: need timeout >= 0, got %v", req.Timeout)
+	}
+	if req.Prob.Checkpoint.Every < 0 {
+		return 0, fmt.Errorf("jobs: need checkpoint every >= 0, got %d", req.Prob.Checkpoint.Every)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.closed {

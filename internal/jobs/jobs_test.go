@@ -371,8 +371,9 @@ func TestDrainAndAbort(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: unknown algorithms, bad sizes, and k mismatches
-// are rejected at submit time, before touching the queue.
+// TestSubmitValidation: unknown algorithms, bad sizes, k mismatches,
+// negative timeouts, and negative checkpoint cadences are rejected at
+// submit time, before touching the queue.
 func TestSubmitValidation(t *testing.T) {
 	b, err := NewBuildBackend(3, transport.InMem)
 	if err != nil {
@@ -388,6 +389,12 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit(Request{Algo: "pagerank", Prob: algo.Problem{N: 10, K: 5}}); err == nil {
 		t.Error("k mismatch accepted")
+	}
+	if _, err := s.Submit(Request{Algo: "pagerank", Prob: algo.Problem{N: 10}, Timeout: -5 * time.Millisecond}); err == nil {
+		t.Error("negative timeout accepted")
+	}
+	if _, err := s.Submit(Request{Algo: "pagerank", Prob: algo.Problem{N: 10, Checkpoint: algo.CheckpointSpec{Every: -1}}}); err == nil {
+		t.Error("negative checkpoint cadence accepted")
 	}
 }
 

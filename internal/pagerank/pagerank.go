@@ -149,9 +149,8 @@ type machine struct {
 	outBuf   []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j (per-destination program order preserved — see the routing
-	// *Buckets contract); core.EmitBuckets streams each non-self bucket
-	// eagerly on streaming runs and appends all of them to the returned
-	// outs on lockstep runs, byte-identically either way.
+	// *Buckets contract); routing.AppendBuckets concatenates them into
+	// the returned outs in ascending destination order.
 	buckets [][]core.Envelope[wire]
 
 	iter int
@@ -214,15 +213,13 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	}
 	// Even supersteps start walk iterations; odd ones only relay/receive.
 	if ctx.Superstep%2 != 0 {
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		m.outBuf = out
 		return out, m.iter >= m.opts.Iterations
 	}
 	if m.iter >= m.opts.Iterations {
-		// Quiescence must be judged on what the superstep PRODUCED, not
-		// on what is left in out after streaming — the predicate below is
-		// therefore computed over the buckets, identically on both
-		// schedules.
+		// Quiescence is judged on what the superstep produced: any
+		// non-empty bucket keeps the cluster running.
 		quiet := true
 		for j := range buckets {
 			if len(buckets[j]) > 0 {
@@ -230,7 +227,7 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 				break
 			}
 		}
-		out = core.EmitBuckets(ctx, buckets, out)
+		out = routing.AppendBuckets(out, buckets)
 		m.outBuf = out
 		return out, quiet
 	}
@@ -283,7 +280,7 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	if m.opts.Aggregate {
 		m.flushLight(ctx)
 	}
-	out = core.EmitBuckets(ctx, buckets, out)
+	out = routing.AppendBuckets(out, buckets)
 	m.outBuf = out
 	return out, false
 }

@@ -82,17 +82,25 @@ func DeliverInto[M any](self core.MachineID, inbox []core.Envelope[Hop[M]], deli
 	return delivered, forwards
 }
 
-// The *Buckets variants below are the streaming-superstep counterparts
-// of Route/RouteDirect/DeliverInto: instead of one interleaved out
-// slice they append into a per-destination-machine bucket array
-// (buckets[j] holds the envelopes addressed to machine j), which is the
-// shape core.EmitBuckets streams eagerly. Appending a given call's
+// The *Buckets variants below are the bucketed counterparts of
+// Route/RouteDirect/DeliverInto: instead of one interleaved out slice
+// they append into a per-destination-machine bucket array (buckets[j]
+// holds the envelopes addressed to machine j), which AppendBuckets
+// then concatenates into a machine's outs. Appending a given call's
 // envelope to bucket j preserves the program order of all envelopes
 // addressed to j, and inbox assembly orders by (sender, per-sender
 // program order) — so a bucketed machine produces byte-identical
-// inboxes to its interleaved self, on any schedule. RNG draws happen at
-// the same call sites in the same order, keeping determinism hashes
-// unchanged.
+// inboxes to its interleaved self. RNG draws happen at the same call
+// sites in the same order, keeping determinism hashes unchanged.
+
+// AppendBuckets appends every bucket to out in ascending destination
+// order and returns the grown slice.
+func AppendBuckets[M any](out []core.Envelope[M], buckets [][]core.Envelope[M]) []core.Envelope[M] {
+	for _, b := range buckets {
+		out = append(out, b...)
+	}
+	return out
+}
 
 // RouteBuckets is Route into per-destination buckets: the envelope
 // lands in the bucket of its (uniformly random) intermediate machine.

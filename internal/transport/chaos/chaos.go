@@ -8,7 +8,7 @@
 // paths the runtime must survive:
 //
 //   - KillAt: the victim "dies" at a superstep — the inner transport is
-//     torn down and FinishSuperstep returns a machine-attributed ErrKilled
+//     torn down and Exchange returns a machine-attributed ErrKilled
 //     (works on any substrate, including the loopback, which has no
 //     real failure mode of its own);
 //   - DropConnAt: a substrate hook severs the victim's real resources
@@ -16,7 +16,7 @@
 //     connection), and the inner transport's OWN failure path then runs
 //     — deadlines fire, closes cascade — with the resulting error
 //     re-attributed to the victim;
-//   - DelayAt: added latency before a superstep's finish, bounded by
+//   - DelayAt: added latency before a superstep's exchange, bounded by
 //     the caller's context, for exercising per-superstep deadlines
 //     without a wall-clock-sized test.
 //
@@ -59,7 +59,7 @@ type Fault struct {
 }
 
 // KillAt makes the victim machine die at the given superstep: the
-// wrapped transport is closed and FinishSuperstep returns a MachineError
+// wrapped transport is closed and Exchange returns a MachineError
 // wrapping ErrKilled. Substrate-independent.
 func KillAt(victim transport.MachineID, step int) Fault {
 	return Fault{kind: faultKill, victim: victim, step: step}
@@ -74,7 +74,7 @@ func DropConnAt(victim transport.MachineID, step int, sever func()) Fault {
 	return Fault{kind: faultDropConn, victim: victim, step: step, sever: sever}
 }
 
-// DelayAt inserts d of latency before the finish of the given
+// DelayAt inserts d of latency before the exchange of the given
 // superstep (step < 0 means every superstep). The sleep respects the
 // superstep context: an expiring per-superstep deadline cuts it short
 // and surfaces as a MachineError attributed to machine -1 (no specific
@@ -97,22 +97,11 @@ func Wrap[M any](inner transport.Transport[M], faults ...Fault) *Transport[M] {
 	return &Transport[M]{inner: inner, faults: faults, victim: -1}
 }
 
-// BeginSuperstep forwards to the inner transport. Faults stay attached
-// to FinishSuperstep, the superstep's barrier.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
-	return t.inner.BeginSuperstep(ctx, step)
-}
-
-// SendBatch forwards an eagerly-emitted batch to the inner transport.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	return t.inner.SendBatch(from, to, batch)
-}
-
-// FinishSuperstep applies due faults, then forwards to the inner
-// transport. A KillAt victim dies here even if its batches were already
-// streamed: the run aborts with the attributed error before any inbox
-// is assembled, exactly like a machine crashing mid-superstep.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// Exchange applies due faults, then forwards to the inner transport. A
+// KillAt victim dies here: the run aborts with the attributed error
+// before any inbox is assembled, exactly like a machine crashing
+// mid-superstep.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	for _, f := range t.faults {
 		switch f.kind {
 		case faultDelay:
@@ -138,11 +127,11 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 			}
 			t.killed, t.victim = true, f.victim
 			f.sever()
-			// Fall through to the inner FinishSuperstep: the severed
+			// Fall through to the inner Exchange: the severed
 			// resources make the substrate's real failure path fire.
 		}
 	}
-	in, err := t.inner.FinishSuperstep(ctx, step, rest)
+	in, err := t.inner.Exchange(ctx, step, outs)
 	if err != nil && t.killed {
 		// Guarantee attribution: whatever shape the substrate's failure
 		// took (a victim endpoint reporting its own dead sockets, a

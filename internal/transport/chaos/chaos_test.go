@@ -96,73 +96,6 @@ func TestDropConnReattributesInnerFailure(t *testing.T) {
 	}
 }
 
-// streamChatterFactory is chatterFactory on the streaming emit path:
-// each machine hands its single ring envelope to the transport mid-step
-// via the emitter, so faults land while batches are in flight rather
-// than at a clean phase boundary.
-func streamChatterFactory(k int) func(core.MachineID) core.Machine[msg] {
-	return func(id core.MachineID) core.Machine[msg] {
-		return core.MachineFunc[msg](func(ctx *core.StepContext, inbox []core.Envelope[msg]) ([]core.Envelope[msg], bool) {
-			to := core.MachineID((int(ctx.Self) + 1) % k)
-			batch := []core.Envelope[msg]{{To: to, Words: 1}}
-			return core.EmitOrAppend(ctx, to, batch, nil), false
-		})
-	}
-}
-
-// A kill landing mid-streaming-superstep must surface with the same
-// machine/superstep attribution the lockstep schedule guarantees, even
-// though peers may already have decoded the victim's eager batches for
-// that superstep.
-func TestKillAtAttributionUnderStreaming(t *testing.T) {
-	const k, victim, step = 4, 2, 3
-	tr := chaos.Wrap(inmem.New[msg](k), chaos.KillAt(victim, step))
-	defer tr.Close()
-	c := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 100, Streaming: true},
-		streamChatterFactory(k))
-	stats, err := c.RunOn(tr)
-	if err == nil {
-		t.Fatal("killed streaming cluster terminated without error")
-	}
-	var me *transport.MachineError
-	if !errors.As(err, &me) {
-		t.Fatalf("streaming error %v carries no machine attribution", err)
-	}
-	if me.Machine != victim || me.Superstep != step {
-		t.Errorf("attributed to machine %d superstep %d, want %d/%d", me.Machine, me.Superstep, victim, step)
-	}
-	if !errors.Is(err, chaos.ErrKilled) {
-		t.Errorf("error %v does not wrap ErrKilled", err)
-	}
-	if stats == nil || stats.Supersteps != step+1 {
-		t.Errorf("stats account %d supersteps, want %d (kill superstep included)", stats.Supersteps, step+1)
-	}
-}
-
-// A delay fault under streaming must still hit the per-superstep
-// deadline promptly: the relaxed barrier cannot weaken cancellation.
-func TestDelayOverrunsTimeoutUnderStreaming(t *testing.T) {
-	const k = 3
-	tr := chaos.Wrap(inmem.New[msg](k), chaos.DelayAt(1, 30*time.Second))
-	defer tr.Close()
-	c := core.NewCluster(core.Config{
-		K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 100, Streaming: true,
-		SuperstepTimeout: 50 * time.Millisecond,
-	}, streamChatterFactory(k))
-	start := time.Now()
-	_, err := c.RunOn(tr)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("delayed streaming superstep did not error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("deadline took %v to fire under streaming, want ~50ms", elapsed)
-	}
-}
-
 // TestHappyPathPassThrough: an inert chaos wrapper (no due faults) must
 // be invisible — same Stats as the bare loopback.
 func TestHappyPathPassThrough(t *testing.T) {

@@ -4,9 +4,8 @@
 // substrate for simulations and tests: envelopes never leave the
 // process and delivery is a pure slice shuffle.
 //
-// FinishSuperstep assembles inboxes count-then-place: one pass over the
-// streamed batches and rest outboxes counts the per-destination
-// envelopes, the k inboxes are then carved out of a single flat buffer,
+// Exchange assembles inboxes count-then-place: one pass over the
+// outboxes counts the per-destination envelopes, the k inboxes are then carved out of a single flat buffer,
 // and a second pass places every envelope at its final position. The
 // flat buffer and the inbox headers are double-buffered and recycled
 // across supersteps (the transport ownership rule), so a steady-state
@@ -28,20 +27,13 @@ type exchangeBuf[M any] struct {
 	inboxes [][]transport.Envelope[M]
 }
 
-// stagedBatch is one streamed batch awaiting FinishSuperstep.
-type stagedBatch[M any] struct {
-	to    transport.MachineID
-	batch []transport.Envelope[M]
-}
-
 // Transport is the loopback implementation of transport.Transport.
 type Transport[M any] struct {
 	k      int
 	closed bool
-	open   bool // BeginSuperstep called, FinishSuperstep pending
 
 	// bufs are the two inbox-buffer generations: gen selects the one the
-	// next FinishSuperstep assembles into, so the inboxes handed out by
+	// next Exchange assembles into, so the inboxes handed out by
 	// the previous call — and any envelopes still aliasing them — stay
 	// untouched while the current superstep is built.
 	bufs [2]exchangeBuf[M]
@@ -50,18 +42,11 @@ type Transport[M any] struct {
 	counts []int // per-destination envelope counts / placement cursors
 	starts []int // prefix offsets of each inbox within flat
 
-	// staged[i] lists sender i's streamed batches in SendBatch order.
-	// SendBatch runs concurrently, one goroutine per sender, and each
-	// sender appends only to its own list, so no two goroutines write
-	// the same slot; the lists are truncated, not freed, by
-	// FinishSuperstep, keeping the steady state allocation-free.
-	staged [][]stagedBatch[M]
-
 	// Counter-only observability (see Counters): the loopback ships no
 	// physical bytes and records no frame spans, but counting its work
 	// gives instrumented runs a shape to compare across substrates.
 	// Atomics only because a debug plane may snapshot mid-run;
-	// FinishSuperstep itself is serial.
+	// Exchange itself is serial.
 	exchanges, envelopes atomic.Int64
 }
 
@@ -74,7 +59,6 @@ func New[M any](k int) *Transport[M] {
 		k:      k,
 		counts: make([]int, k),
 		starts: make([]int, k+1),
-		staged: make([][]stagedBatch[M], k),
 	}
 }
 
@@ -87,8 +71,7 @@ func New[M any](k int) *Transport[M] {
 // completed superstep count on tcp, and Envelopes the envelopes its
 // batches carried.
 type Counters struct {
-	// Exchanges counts completed FinishSuperstep calls (one per
-	// superstep).
+	// Exchanges counts completed Exchange calls (one per superstep).
 	Exchanges int64
 	// Envelopes counts every envelope routed across all supersteps.
 	Envelopes int64
@@ -100,66 +83,20 @@ func (t *Transport[M]) Counters() Counters {
 	return Counters{Exchanges: t.exchanges.Load(), Envelopes: t.envelopes.Load()}
 }
 
-// BeginSuperstep implements transport.Transport. There is no wire to
-// arm; it just opens the staging area for SendBatch. The loopback never
-// blocks, so ctx is only checked here and in FinishSuperstep — a
-// canceled run stops routing immediately but can never hang here.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
-	}
-	if t.closed {
-		return fmt.Errorf("inmem: BeginSuperstep on closed transport (superstep %d)", step)
-	}
-	t.open = true
-	return nil
-}
-
-// SendBatch implements transport.Transport. It only stages the batch —
-// the caller owns the slice until FinishSuperstep, per the contract,
-// and the loopback copies envelopes out of it there. Safe for
-// concurrent calls with distinct senders.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if !t.open {
-		return fmt.Errorf("inmem: SendBatch outside an open superstep")
-	}
-	if from < 0 || int(from) >= t.k || to < 0 || int(to) >= t.k || from == to {
-		return fmt.Errorf("inmem: SendBatch with invalid pair (%d -> %d)", from, to)
-	}
-	for _, sb := range t.staged[from] {
-		if sb.to == to {
-			return fmt.Errorf("inmem: duplicate SendBatch for pair (%d -> %d)", from, to)
-		}
-	}
-	t.staged[from] = append(t.staged[from], stagedBatch[M]{to: to, batch: batch})
-	return nil
-}
-
-// FinishSuperstep implements transport.Transport: count-then-place
-// assembly of every sender's staged batches and rest envelopes.
-// Iterating senders in machine order makes inbox assembly deterministic
-// and sender-ID ordered, and since a sender never mixes a staged batch
-// and rest envelopes for one destination, the result is identical
-// whichever schedule carried the envelopes.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	defer func() {
-		for i := range t.staged {
-			clear(t.staged[i])
-			t.staged[i] = t.staged[i][:0]
-		}
-		t.open = false
-	}()
+// Exchange implements transport.Transport: count-then-place assembly
+// of every sender's outbox. Iterating senders in machine order makes
+// inbox assembly deterministic and sender-ID ordered. The loopback
+// never blocks, so ctx is only checked on entry — a canceled run stops
+// routing immediately but can never hang here.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
 	}
 	if t.closed {
-		return nil, fmt.Errorf("inmem: FinishSuperstep on closed transport (superstep %d)", step)
+		return nil, fmt.Errorf("inmem: Exchange on closed transport (superstep %d)", step)
 	}
-	if !t.open {
-		return nil, fmt.Errorf("inmem: FinishSuperstep without BeginSuperstep (superstep %d)", step)
-	}
-	if len(rest) != t.k {
-		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(rest), t.k)
+	if len(outs) != t.k {
+		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(outs), t.k)
 	}
 
 	counts := t.counts
@@ -167,19 +104,15 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 		counts[i] = 0
 	}
 	total := 0
-	for i := range rest {
-		for _, sb := range t.staged[i] {
-			counts[sb.to] += len(sb.batch)
-			total += len(sb.batch)
-		}
-		for j := range rest[i] {
-			to := rest[i][j].To
+	for i := range outs {
+		for j := range outs[i] {
+			to := outs[i][j].To
 			if to < 0 || int(to) >= t.k {
 				return nil, fmt.Errorf("inmem: envelope to invalid machine %d (superstep %d)", to, step)
 			}
 			counts[to]++
 		}
-		total += len(rest[i])
+		total += len(outs[i])
 	}
 
 	b := &t.bufs[t.gen]
@@ -198,14 +131,10 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 		starts[j+1] = starts[j] + counts[j]
 		counts[j] = starts[j] // reuse counts as the placement cursors
 	}
-	for i := range rest {
-		for _, sb := range t.staged[i] {
-			copy(flat[counts[sb.to]:], sb.batch)
-			counts[sb.to] += len(sb.batch)
-		}
-		for j := range rest[i] {
-			to := rest[i][j].To
-			flat[counts[to]] = rest[i][j]
+	for i := range outs {
+		for j := range outs[i] {
+			to := outs[i][j].To
+			flat[counts[to]] = outs[i][j]
 			counts[to]++
 		}
 	}

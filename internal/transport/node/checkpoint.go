@@ -37,8 +37,8 @@ import (
 type CheckpointConfig struct {
 	// Every captures a checkpoint after every Every-th superstep's
 	// continue verdict; 0 disables. Requires the machine to implement
-	// core.Snapshotter. The capture follows the exchange, so under
-	// Streaming the captured inbox already holds the streamed batches.
+	// core.Snapshotter. The capture follows the exchange, so the
+	// captured inbox is what the next superstep reads.
 	Every int
 	// Sink stores the complete checkpoints: a core.MemorySink, or a
 	// core.FileSink for a restart point that survives the process. nil

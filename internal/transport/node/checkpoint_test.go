@@ -26,13 +26,10 @@ import (
 // ckMachine is a deterministic ring machine whose state exercises all
 // three restored quantities: the snapshot blob (sum), the RNG stream
 // (each superstep's payload is a fresh draw), and the stored inbox
-// (sums accumulate from delivered envelopes). Under Streaming its one
-// envelope goes through core.EmitBatch, and streamed counts how many
-// batches the bound emitter accepted.
+// (sums accumulate from delivered envelopes).
 type ckMachine struct {
-	self     core.MachineID
-	sum      int64
-	streamed int
+	self core.MachineID
+	sum  int64
 }
 
 const ckLastStep = 9
@@ -44,16 +41,11 @@ func (m *ckMachine) Step(ctx *core.StepContext, inbox []core.Envelope[failMsg]) 
 	if ctx.Superstep >= ckLastStep {
 		return nil, true
 	}
-	batch := []core.Envelope[failMsg]{{
+	return []core.Envelope[failMsg]{{
 		To:    core.MachineID((int(m.self) + 1) % ctx.K),
 		Words: 1,
 		Msg:   failMsg{X: int64(ctx.RNG.Uint64() % 1000)},
-	}}
-	if core.EmitBatch(ctx, batch[0].To, batch) {
-		m.streamed++
-		return nil, false
-	}
-	return batch, false
+	}}, false
 }
 
 func (m *ckMachine) SnapshotState(dst []byte) ([]byte, error) {
@@ -66,20 +58,12 @@ func (m *ckMachine) RestoreState(src []byte) error {
 	return c.Finish()
 }
 
-// runCkCluster executes the lockstep ring over RunLocal with the given
+// runCkCluster executes the ring over RunLocal with the given
 // checkpoint config, returning the Stats and every machine's final sum.
 func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int64) {
 	t.Helper()
-	stats, sums, _ := runCkClusterSched(t, k, false, ck)
-	return stats, sums
-}
-
-// runCkClusterSched is runCkCluster on either schedule; it also returns
-// how many batches the machines streamed through SendBatch.
-func runCkClusterSched(t *testing.T, k int, streaming bool, ck CheckpointConfig) (*core.Stats, []int64, int) {
-	t.Helper()
 	machines := make([]*ckMachine, k)
-	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Streaming: streaming, Checkpoint: ck}
+	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
 	stats, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
 		machines[id] = &ckMachine{self: id}
 		return machines[id]
@@ -88,31 +72,10 @@ func runCkClusterSched(t *testing.T, k int, streaming bool, ck CheckpointConfig)
 		t.Fatal(err)
 	}
 	sums := make([]int64, k)
-	streamed := 0
 	for i, m := range machines {
 		sums[i] = m.sum
-		streamed += m.streamed
 	}
-	return stats, sums, streamed
-}
-
-// ckSchedules are the two superstep schedules every checkpoint test
-// runs under; the lockstep golden is the oracle for both.
-var ckSchedules = []struct {
-	name      string
-	streaming bool
-}{{"lockstep", false}, {"streaming", true}}
-
-// checkStreamed asserts that a streaming arm really streamed and a
-// lockstep arm did not.
-func checkStreamed(t *testing.T, streaming bool, streamed int) {
-	t.Helper()
-	if streaming && streamed == 0 {
-		t.Error("streaming arm sent no batch through SendBatch")
-	}
-	if !streaming && streamed != 0 {
-		t.Errorf("lockstep arm streamed %d batches", streamed)
-	}
+	return stats, sums
 }
 
 func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
@@ -127,24 +90,20 @@ func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
 }
 
 // TestNodeCheckpointedRunMatchesGolden: arming the checkpoint plane on
-// the node runtime must not perturb Stats or outputs under either
-// schedule, the sink must end the run holding a checkpoint of a
+// the node runtime must not perturb Stats or outputs, the sink must end the run holding a checkpoint of a
 // pre-final superstep, and that blob must be byte-identical to the one
 // core's engine writes for the same cut of the same computation — one
 // format, one cut, on both runtimes.
 func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
-	for _, sc := range ckSchedules {
-		t.Run(sc.name, func(t *testing.T) { checkCheckpointedRun(t, sc.streaming) })
-	}
+	t.Run("lockstep", checkCheckpointedRun)
 }
 
-func checkCheckpointedRun(t *testing.T, streaming bool) {
+func checkCheckpointedRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
 	sink := core.NewMemorySink(0)
-	ckStats, ckSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Sink: sink})
-	checkStreamed(t, streaming, streamed)
+	ckStats, ckSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sink})
 	sameCkStats(t, "checkpointed-vs-golden", ckStats, goldenStats)
 	for i := range goldenSums {
 		if ckSums[i] != goldenSums[i] {
@@ -165,7 +124,7 @@ func checkCheckpointedRun(t *testing.T, streaming bool) {
 	}
 
 	coreSink := core.NewMemorySink(0)
-	cluster := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 77, Streaming: streaming,
+	cluster := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 77,
 		Checkpoint: core.CheckpointPolicy{Every: 2, Sink: coreSink}},
 		func(id core.MachineID) core.Machine[failMsg] { return &ckMachine{self: id} })
 	tr, err := core.OpenTransport[failMsg]("", k, failCodec{})
@@ -188,25 +147,20 @@ func checkCheckpointedRun(t *testing.T, streaming bool) {
 // prior run's sink replay only the post-checkpoint tail, and the total
 // Stats and final outputs are bit-identical to the golden run — the
 // node-runtime half of the scheduler's resume-from-checkpoint protocol.
-// Under streaming both the capturing and the resumed run stream.
 func TestNodeResumeFromStoreDeterministic(t *testing.T) {
-	for _, sc := range ckSchedules {
-		t.Run(sc.name, func(t *testing.T) { checkResumeFromStore(t, sc.streaming) })
-	}
+	t.Run("lockstep", checkResumeFromStore)
 }
 
-func checkResumeFromStore(t *testing.T, streaming bool) {
+func checkResumeFromStore(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
 	sink := core.NewMemorySink(0)
-	_, _, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Sink: sink})
-	checkStreamed(t, streaming, streamed)
+	runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sink})
 	if step, _, _ := sink.Latest(); step < 0 {
 		t.Fatal("no checkpoint to resume from")
 	}
-	resumedStats, resumedSums, streamed := runCkClusterSched(t, k, streaming, CheckpointConfig{Every: 2, Sink: sink, Resume: true})
-	checkStreamed(t, streaming, streamed)
+	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sink, Resume: true})
 	sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {

@@ -61,23 +61,12 @@ type Config struct {
 	// means Background.
 	Context context.Context
 	// SuperstepTimeout bounds each superstep's cross-machine phases: the
-	// deadline covers BeginSuperstep through FinishSuperstep and the
-	// report/verdict round after it (under Streaming the superstep
-	// opens before compute, since the wire is active throughout). A
-	// peer process that crashes or wedges surfaces as a
+	// deadline covers the exchange and the report/verdict round after
+	// it. A peer process that crashes or wedges surfaces as a
 	// machine-attributed error within the timeout on every surviving
 	// node instead of hanging the cluster. 0 means no deadline.
 	// Happy-path Stats and outputs are unaffected.
 	SuperstepTimeout time.Duration
-	// Streaming opts this node into streaming supersteps: an emitter is
-	// bound into the machine's StepContext so core.EmitBatch hands
-	// finished per-peer batches to the endpoint mid-compute, and the
-	// endpoint's superstep opens before compute instead of right before
-	// the exchange. Purely a scheduling knob — reports, Stats, outputs,
-	// and golden hashes are bit-identical to the lockstep schedule, with
-	// or without Checkpoint. All nodes of a cluster must agree on it.
-	// Default off.
-	Streaming bool
 	// Recorder, when non-nil, receives wall-clock phase spans from this
 	// node's superstep loop — compute (the Step call), exchange (this
 	// node's data-plane barrier), and barrier (the report/verdict
@@ -90,8 +79,8 @@ type Config struct {
 	Recorder obs.Recorder
 	// Checkpoint is the checkpoint/recovery policy (checkpoint.go). Off
 	// by default; when Every > 0 the machine must implement
-	// core.Snapshotter. Works under either schedule, on RunLocal and
-	// RunJobLocal; standalone Run rejects it.
+	// core.Snapshotter. Works on RunLocal and RunJobLocal; standalone
+	// Run rejects it.
 	Checkpoint CheckpointConfig
 }
 
@@ -251,13 +240,6 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	}
 	row := core.NewLinkRow(cfg.K) // this node's link loads, reused
 	var repBuf []byte             // report encode scratch, reused
-	// The emitter is bound only under Streaming, so core.EmitBatch hands
-	// finished per-peer batches to the endpoint mid-compute; unbound it
-	// records nothing and the superstep is lockstep.
-	em := core.NewEmitter[M](ep, ctx.Self, cfg.K)
-	if cfg.Streaming {
-		em.Bind(ctx)
-	}
 	for step := start; ; step++ {
 		if step >= cfg.MaxSupersteps {
 			// Every node shares MaxSupersteps and steps in lockstep, so
@@ -273,22 +255,6 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			return coordStats(coord), fmt.Errorf("node: machine %d canceled before superstep %d: %w", cfg.ID, step, err)
 		}
 
-		// The superstep context, and its deadline, start when the
-		// endpoint's superstep opens: before compute when the emitter
-		// is bound (the first eager batch must already run under it),
-		// else right before the exchange.
-		em.Reset()
-		var sctx context.Context
-		var cancel context.CancelFunc
-		if cfg.Streaming {
-			var err error
-			if sctx, cancel, err = beginSuperstep(cfg, ep, runCtx, step); err != nil {
-				cancel()
-				ep.Close()
-				return coordStats(coord), err
-			}
-		}
-
 		ctx.Superstep = step
 		var t0 int64
 		if cfg.Recorder != nil {
@@ -299,21 +265,11 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			cfg.Recorder.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 				Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseCompute})
 		}
-		if err := em.Err(); err != nil {
-			// A failed eager send is a transport failure, not an
-			// algorithm error: the endpoint is (or is about to be)
-			// dead, so the report/verdict protocol cannot carry the
-			// news. Tear down and return the attributed error, like
-			// any other exchange failure.
-			cancel()
-			ep.Close()
-			return coordStats(coord), fmt.Errorf("node: machine %d streaming emit failed in superstep %d: %w", cfg.ID, step, err)
-		}
 		// Validation and the per-link charge are core's own, so the
 		// report carries exactly the row core's engine would account.
 		rep := report{done: done, linkWords: row.Words}
 		if stepErr == nil {
-			rep.messages, rep.emitted, stepErr = core.ChargeOuts(&row, ctx.Self, step, out, em)
+			rep.messages, rep.emitted, stepErr = core.ChargeOuts(&row, ctx.Self, out)
 		}
 		if stepErr != nil {
 			rep.err = stepErr.Error()
@@ -322,16 +278,17 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		repBuf = rep.appendEncode(repBuf[:0], step)
 		row.Reset()
 
-		var v verdict
-		var next []core.Envelope[M]
-		var err error
-		if sctx == nil {
-			sctx, cancel, err = beginSuperstep(cfg, ep, runCtx, step)
+		// The superstep context, and its deadline, cover the exchange
+		// and the report/verdict round.
+		sctx := runCtx
+		var cancel context.CancelFunc
+		if cfg.SuperstepTimeout > 0 {
+			sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
 		}
-		if err == nil {
-			v, next, err = superstepRound(cfg, ep, coord, sctx, step, repBuf, out)
+		v, next, err := superstepRound(cfg, ep, coord, sctx, step, repBuf, out)
+		if cancel != nil {
+			cancel()
 		}
-		cancel()
 		if err != nil {
 			// When the run context died mid-superstep the transport
 			// error is just the shrapnel of the teardown (closed
@@ -363,19 +320,7 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	}
 }
 
-// beginSuperstep opens superstep step on the endpoint under a fresh
-// superstep context, which carries cfg.SuperstepTimeout when set. The
-// returned cancel is never nil; the caller calls it once the superstep
-// is over.
-func beginSuperstep[M any](cfg Config, ep *tcp.Endpoint[M], runCtx context.Context, step int) (context.Context, context.CancelFunc, error) {
-	sctx, cancel := runCtx, context.CancelFunc(func() {})
-	if cfg.SuperstepTimeout > 0 {
-		sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
-	}
-	return sctx, cancel, ep.BeginSuperstep(sctx, step)
-}
-
-// superstepRound runs the cross-machine phases of one opened superstep
+// superstepRound runs the cross-machine phases of one superstep
 // — exchange, report, verdict — under its superstep context. The
 // failure protocol: a node whose Step failed still exchanges (an empty
 // batch) and carries the error in its report, so the coordinator learns
@@ -402,7 +347,7 @@ func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, 
 	if rec != nil {
 		t0 = obs.Now()
 	}
-	next, err := ep.FinishSuperstep(sctx, step, out)
+	next, err := ep.Exchange(sctx, step, out)
 	if rec != nil {
 		rec.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 			Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})

@@ -43,7 +43,7 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	step := 0
 	run := func() {
 		for s := 0; s < supersteps; s++ {
-			if _, err := exchange(tr, context.Background(), step, outs); err != nil {
+			if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
 				t.Fatal(err)
 			}
 			step++

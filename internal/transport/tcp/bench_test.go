@@ -50,14 +50,14 @@ func benchExchange(b *testing.B, k, batch int, version byte) {
 	outs := benchOuts(k, batch)
 	ctx := context.Background()
 	// Warm the recycled buffers so the measurement is steady state.
-	if _, err := exchange(tr, ctx, 0, outs); err != nil {
+	if _, err := tr.Exchange(ctx, 0, outs); err != nil {
 		b.Fatal(err)
 	}
 	before := tr.WireStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for s := 0; s < b.N; s++ {
-		if _, err := exchange(tr, ctx, s+1, outs); err != nil {
+		if _, err := tr.Exchange(ctx, s+1, outs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			inboxes[i], errs[i] = exchange(eps[i], context.Background(), step, outs[i])
+			inboxes[i], errs[i] = eps[i].Exchange(context.Background(), step, outs[i])
 		}(i)
 	}
 	wg.Wait()

@@ -43,14 +43,14 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 			{From: transport.MachineID(i), To: transport.MachineID((i + 1) % k), Words: 1, Msg: testMsg{Tag: int64(i)}},
 		}
 	}
-	if _, err := exchange(tr, context.Background(), 0, outs); err != nil {
+	if _, err := tr.Exchange(context.Background(), 0, outs); err != nil {
 		t.Fatal(err)
 	}
 	// Population after the first superstep: transport drivers + data
 	// workers + coordinator control readers, all persistent.
 	settled := runtime.NumGoroutine()
 	for step := 1; step <= 50; step++ {
-		if _, err := exchange(tr, context.Background(), step, outs); err != nil {
+		if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
 			t.Fatalf("superstep %d: %v", step, err)
 		}
 	}
@@ -66,73 +66,60 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 // healthy loopback mesh receives every byte it ships, the per-superstep
 // frame count matches the protocol — exactly k·(k-1) data frames, one
 // per directed pair and empty batches included, with no control-plane
-// traffic — and byte totals grow monotonically with traffic. Both
-// superstep schedules are pinned: lockstep (nothing streamed) and
-// streaming (every peer's batch sent through SendBatch).
+// traffic — and byte totals grow monotonically with traffic. The
+// subtest keeps the name of the (only) schedule it pins.
 func TestWireStatsCountsFrames(t *testing.T) {
 	const k = 3
-	ctx := context.Background()
-	schedules := []struct {
-		name string
-		run  func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error
-	}{
-		{"lockstep", func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
-			_, err := exchange(tr, ctx, step, outs)
-			return err
-		}},
-		{"streaming", func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
-			_, err := streamSuperstep(tr, ctx, step, outs, func(i, j int) bool { return true })
-			return err
-		}},
+	run := func(tr *Transport[testMsg], step int, outs [][]transport.Envelope[testMsg]) error {
+		_, err := tr.Exchange(context.Background(), step, outs)
+		return err
 	}
-	for _, sc := range schedules {
-		t.Run(sc.name, func(t *testing.T) {
-			tr, err := New[testMsg](k, testCodec{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
+	t.Run("lockstep", func(t *testing.T) {
+		tr, err := New[testMsg](k, testCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
 
-			if w := tr.WireStats(); w.FramesSent != 0 || w.BytesSent != 0 {
-				t.Fatalf("fresh transport reports nonzero wire stats: %+v", w)
-			}
-			if err := sc.run(tr, 0, make([][]transport.Envelope[testMsg], k)); err != nil {
-				t.Fatal(err)
-			}
-			w0 := tr.WireStats()
-			if w0.BytesSent != w0.BytesRecv || w0.FramesSent != w0.FramesRecv {
-				t.Errorf("loopback mesh sent %d bytes/%d frames but received %d/%d",
-					w0.BytesSent, w0.FramesSent, w0.BytesRecv, w0.FramesRecv)
-			}
-			const wantFrames = int64(k * (k - 1))
-			if w0.FramesSent != wantFrames {
-				t.Errorf("empty superstep shipped %d frames, want %d", w0.FramesSent, wantFrames)
-			}
+		if w := tr.WireStats(); w.FramesSent != 0 || w.BytesSent != 0 {
+			t.Fatalf("fresh transport reports nonzero wire stats: %+v", w)
+		}
+		if err := run(tr, 0, make([][]transport.Envelope[testMsg], k)); err != nil {
+			t.Fatal(err)
+		}
+		w0 := tr.WireStats()
+		if w0.BytesSent != w0.BytesRecv || w0.FramesSent != w0.FramesRecv {
+			t.Errorf("loopback mesh sent %d bytes/%d frames but received %d/%d",
+				w0.BytesSent, w0.FramesSent, w0.BytesRecv, w0.FramesRecv)
+		}
+		const wantFrames = int64(k * (k - 1))
+		if w0.FramesSent != wantFrames {
+			t.Errorf("empty superstep shipped %d frames, want %d", w0.FramesSent, wantFrames)
+		}
 
-			outs := make([][]transport.Envelope[testMsg], k)
-			for i := 0; i < k; i++ {
-				for j := 0; j < k; j++ {
-					if j == i {
-						continue
-					}
-					outs[i] = append(outs[i], transport.Envelope[testMsg]{
-						From: transport.MachineID(i), To: transport.MachineID(j), Words: 5, Msg: testMsg{Tag: 77},
-					})
+		outs := make([][]transport.Envelope[testMsg], k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				if j == i {
+					continue
 				}
+				outs[i] = append(outs[i], transport.Envelope[testMsg]{
+					From: transport.MachineID(i), To: transport.MachineID(j), Words: 5, Msg: testMsg{Tag: 77},
+				})
 			}
-			if err := sc.run(tr, 1, outs); err != nil {
-				t.Fatal(err)
-			}
-			w1 := tr.WireStats()
-			if w1.FramesSent != 2*wantFrames {
-				t.Errorf("two supersteps shipped %d frames, want %d", w1.FramesSent, 2*wantFrames)
-			}
-			if w1.BytesSent-w0.BytesSent <= w0.BytesSent/2 {
-				t.Errorf("loaded superstep (%d bytes) not measurably heavier than empty one (%d)",
-					w1.BytesSent-w0.BytesSent, w0.BytesSent)
-			}
-		})
-	}
+		}
+		if err := run(tr, 1, outs); err != nil {
+			t.Fatal(err)
+		}
+		w1 := tr.WireStats()
+		if w1.FramesSent != 2*wantFrames {
+			t.Errorf("two supersteps shipped %d frames, want %d", w1.FramesSent, 2*wantFrames)
+		}
+		if w1.BytesSent-w0.BytesSent <= w0.BytesSent/2 {
+			t.Errorf("loaded superstep (%d bytes) not measurably heavier than empty one (%d)",
+				w1.BytesSent-w0.BytesSent, w0.BytesSent)
+		}
+	})
 }
 
 // TestWireV2ShipsFewerBytesThanV1 runs identical traffic over a v2 and
@@ -150,7 +137,7 @@ func TestWireV2ShipsFewerBytesThanV1(t *testing.T) {
 		r := rng.New(1234)
 		var history [][][]transport.Envelope[testMsg]
 		for step := 0; step < steps; step++ {
-			inboxes, err := exchange(tr, context.Background(), step, randomOuts(r, k))
+			inboxes, err := tr.Exchange(context.Background(), step, randomOuts(r, k))
 			if err != nil {
 				t.Fatalf("version 0x%02x superstep %d: %v", version, step, err)
 			}
@@ -209,7 +196,7 @@ func TestMixedWireVersionMesh(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i], errs[i] = exchange(eps[i], context.Background(), step, outsT[i])
+				got[i], errs[i] = eps[i].Exchange(context.Background(), step, outsT[i])
 			}(i)
 		}
 		wg.Wait()
@@ -218,7 +205,7 @@ func TestMixedWireVersionMesh(t *testing.T) {
 				t.Fatalf("superstep %d machine %d: %v", step, i, err)
 			}
 		}
-		want, err := exchange(lb, context.Background(), step, outsL)
+		want, err := lb.Exchange(context.Background(), step, outsL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +243,7 @@ func TestControlOpsBeforeConnectFailFast(t *testing.T) {
 	if _, err := ep.CollectReports(context.Background(), 0); err == nil {
 		t.Error("CollectReports before Connect succeeded")
 	}
-	if _, err := exchange(ep, context.Background(), 0, nil); err == nil {
+	if _, err := ep.Exchange(context.Background(), 0, nil); err == nil {
 		t.Error("superstep before Connect succeeded")
 	}
 }
@@ -274,7 +261,7 @@ func TestExchangeAfterCloseFailsFast(t *testing.T) {
 	tr.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := exchange(tr, context.Background(), 0, make([][]transport.Envelope[testMsg], k))
+		_, err := tr.Exchange(context.Background(), 0, make([][]transport.Envelope[testMsg], k))
 		done <- err
 	}()
 	select {

@@ -13,9 +13,8 @@
 // writer per outgoing peer, one reader per incoming peer — spawned once
 // when the mesh connects and parked on a signal channel between
 // supersteps. A superstep becomes signal → encode-in-parallel (each
-// writer serialises its own peer's batch into its own recycled buffer,
-// either mid-compute for a streamed batch or at FinishSuperstep for the
-// rest) → decode-in-parallel (each reader decodes into its own recycled
+// writer serialises its own peer's batch into its own recycled buffer)
+// → decode-in-parallel (each reader decodes into its own recycled
 // envelope scratch) → merge, with no goroutine spawned and no
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
@@ -112,7 +111,7 @@ type Endpoint[M any] struct {
 	ownQueue [][]byte // id==0: coordinator's loopback report queue
 
 	// Pipeline worker state, created once per endpoint lifetime. The
-	// channels carry at most one job (FinishSuperstep is a barrier, so a
+	// channels carry at most one job (Exchange is a barrier, so a
 	// second superstep cannot be signalled before the first drains);
 	// workWG counts in-flight data jobs and ctrlWG in-flight coordinator report
 	// reads. Worker failures land in the cause/shrapnel pairs below —
@@ -137,7 +136,7 @@ type Endpoint[M any] struct {
 	ctrlCause, ctrlShrapnel error // control path (CollectReports)
 
 	// Per-superstep scratch, recycled across calls (the transport
-	// ownership rule). perDest/tx/frame/rx are dead once FinishSuperstep
+	// ownership rule). perDest/tx/frame/rx are dead once Exchange
 	// returns and are single-buffered; the assembled inbox is handed to
 	// the caller and double-buffered so the previous superstep's
 	// envelopes survive while the next one is built. reports/ctrlFrame
@@ -151,33 +150,12 @@ type Endpoint[M any] struct {
 	inboxes [2][]transport.Envelope[M]
 	gen     int
 
-	// txSrc[j] is what peer j's writer worker encodes this superstep:
-	// the recycled perDest[j] split of the rest envelopes, or the
-	// machine's own streamed batch slice (which the transport contract
-	// keeps immutable until FinishSuperstep returns). A separate
-	// indirection — instead of storing streamed batches into perDest —
-	// so the next superstep's perDest[j][:0] recycling can never append
-	// into machine-owned memory.
-	txSrc [][]transport.Envelope[M]
-
-	// The open superstep (the endpoint-level half of
-	// transport.Transport; the cluster Transport composes k of these).
-	// Guarded by mu where concurrent with SendBatch; the
-	// Begin→drive→Finish handoff provides the rest of the ordering.
-	sentEager  []bool      // peers already streamed to this superstep
-	open       bool        // BeginSuperstep called, FinishSuperstep pending
-	step       int         // the open superstep
-	dl         time.Time   // its I/O deadline
-	release    func() bool // its ioGuard release, disarmed by Finish
-	readersOut bool        // reader workers released for it
-
 	// serialWriters, sampled at construction, records that the process
 	// has a single execution core (GOMAXPROCS=1): parallel writer workers
 	// then cannot overlap with anything, and every wakeup is a pure
-	// scheduling tax, so the inline serial-write paths (SendBatch,
-	// FinishSuperstep) are taken unconditionally. Readers stay parallel
-	// regardless — a read is mostly netpoll parking, which costs no core
-	// while it waits.
+	// scheduling tax, so Exchange's inline serial-write path is taken
+	// unconditionally. Readers stay parallel regardless — a read is
+	// mostly netpoll parking, which costs no core while it waits.
 	serialWriters bool
 	reports       [][]byte // id==0: assembled CollectReports result
 	ctrlFrame     [][]byte // id==0: per-peer control read buffers
@@ -216,8 +194,6 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		tx:          make([][]byte, k),
 		frame:       make([][]byte, k),
 		rx:          make([][]transport.Envelope[M], k),
-		txSrc:       make([][]transport.Envelope[M], k),
-		sentEager:   make([]bool, k),
 		wirePeers:   make([]peerWire, k),
 
 		serialWriters: runtime.GOMAXPROCS(0) == 1,
@@ -468,9 +444,9 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 	var buf []byte
 	var err error
 	if e.wireVersion == wire.BatchV1 {
-		buf, err = wire.AppendBatchV1(base, job.step, transport.MachineID(e.id), e.txSrc[j], e.codec)
+		buf, err = wire.AppendBatchV1(base, job.step, transport.MachineID(e.id), e.perDest[j], e.codec)
 	} else {
-		buf, err = wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.txSrc[j], e.codec)
+		buf, err = wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.perDest[j], e.codec)
 	}
 	e.tx[j] = buf[:0]
 	if err != nil {
@@ -682,233 +658,50 @@ func (e *Endpoint[M]) mergeInbox() []transport.Envelope[M] {
 	return inbox
 }
 
-// BeginSuperstep opens superstep `step` on this endpoint: it arms the
-// superstep's deadline and cancellation guard and resets the
-// per-superstep failure state. No I/O starts here. The reader workers
-// are released lazily — at the first SendBatch, or else in
-// FinishSuperstep — so a superstep that streams nothing releases them
-// in exactly the order a lockstep exchange needs, and readers never
-// sit parked in netpoll through a compute phase that sends nothing.
-func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
-	dl, release := e.ioGuard(ctx)
-	e.mu.Lock()
-	var err error
-	switch {
-	case e.closed:
-		err = fmt.Errorf("tcp: machine %d begin superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
-	case !e.started:
-		err = fmt.Errorf("tcp: machine %d begin superstep %d before Connect", e.id, step)
-	case e.open:
-		err = fmt.Errorf("tcp: machine %d begin superstep %d with superstep %d still open", e.id, step, e.step)
-	}
-	if err != nil {
-		e.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return err
-	}
-	e.cause, e.shrapnel = nil, nil
-	clear(e.sentEager)
-	e.open, e.step, e.dl, e.release, e.readersOut = true, step, dl, release, false
-	e.mu.Unlock()
-	return nil
-}
-
-// releaseReadersLocked signals every reader worker for the open
-// superstep, once. Signal order rotates with the superstep: machine i
-// starts its sweep at peer (i+step) mod k, so the k machines do not all
-// hammer peer 0's sockets first every superstep. Caller holds e.mu.
-func (e *Endpoint[M]) releaseReadersLocked() {
-	if e.readersOut {
-		return
-	}
-	e.readersOut = true
-	job := pipeJob{step: e.step, dl: e.dl}
-	e.workWG.Add(e.k - 1)
-	for o := 0; o < e.k; o++ {
-		if j := (e.id + e.step + o) % e.k; j != e.id {
-			e.readerCh[j] <- job
-		}
-	}
-}
-
-// armReaders releases the reader workers of the open superstep if
-// SendBatch has not already done so; a no-op on a closed endpoint or
-// outside a superstep.
-func (e *Endpoint[M]) armReaders() {
-	e.mu.Lock()
-	if e.open && !e.closed {
-		e.releaseReadersLocked()
-	}
-	e.mu.Unlock()
-}
-
-// streamInlineMax is the batch size at or below which SendBatch
-// writes the frame on the calling goroutine instead of waking the
-// peer's parked writer worker: for a couple of envelopes the encode is
-// a handful of stores and the wakeup costs more than the write (the
-// same economics as FinishSuperstep's tiny-superstep path).
-const streamInlineMax = 2
-
-// SendBatch hands peer `to`'s finished batch to its parked writer
-// worker right now — mid-compute — which encodes and ships it while the
-// superstep's remaining work continues; it makes the endpoint a
-// transport.BatchSender for its own machine, `from`. The first
-// SendBatch of a superstep also releases the reader workers, so
-// incoming frames are decoded as peers produce them. Tiny batches (and every batch on a
-// single-core process) are instead written inline on the calling
-// goroutine — still mid-compute, so the wire is busy during the
-// superstep either way; what varies is only who pays for the encode.
-// The batch slice stays readable by the endpoint until FinishSuperstep
-// returns (the transport ownership rule); envelopes arrive
-// pre-validated and From-stamped from core. At most one batch per peer
-// per superstep.
-func (e *Endpoint[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if int(from) != e.id {
-		return fmt.Errorf("tcp: machine %d cannot send machine %d's batch", e.id, from)
-	}
-	e.mu.Lock()
-	if e.closed {
-		// Prefer the attributed failure that closed us (a reader's
-		// verdict on a dead peer) over an anonymous "closed" — this is
-		// what the emitter surfaces to the run.
-		err := e.cause
-		if err == nil {
-			err = e.shrapnel
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("tcp: machine %d stream batch on closed endpoint: %w", e.id, net.ErrClosed)
-	}
-	if !e.open {
-		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d SendBatch outside an open superstep", e.id)
-	}
-	if int(to) < 0 || int(to) >= e.k || int(to) == e.id {
-		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d cannot stream batch to machine %d", e.id, to)
-	}
-	if e.sentEager[to] {
-		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d streamed two batches to machine %d in superstep %d", e.id, to, e.step)
-	}
-	e.releaseReadersLocked()
-	e.sentEager[to] = true
-	e.txSrc[to] = batch
-	job := pipeJob{step: e.step, dl: e.dl}
-	if e.serialWriters || len(batch) <= streamInlineMax {
-		// Inline write, off the mutex: the write may block on a full
-		// socket buffer, and holding mu there would stall a concurrent
-		// Close. txSrc[to] is safe to read unlocked — at most one batch
-		// per peer per superstep means no other goroutine touches it.
-		e.mu.Unlock()
-		e.runWriter(int(to), job)
-		// A write failure closed the endpoint and recorded its cause;
-		// surface it now so the emitter aborts the run immediately
-		// instead of discovering the corpse at FinishSuperstep.
-		e.mu.Lock()
-		err := e.cause
-		if err == nil {
-			err = e.shrapnel
-		}
-		e.mu.Unlock()
-		return err
-	}
-	e.workWG.Add(1)
-	e.writerCh[to] <- job
-	e.mu.Unlock()
-	return nil
-}
-
-// finishGuard disarms the cancellation guard BeginSuperstep armed.
-func (e *Endpoint[M]) finishGuard() {
-	if r := e.release; r != nil {
-		e.release = nil
-		r()
-	}
-}
-
-// FinishSuperstep closes superstep `step`: it ships `out` — the
-// envelopes NOT streamed eagerly (self-addressed ones included; a peer
-// that already got a streamed batch must not reappear here) — one frame
-// per remaining peer, empty batches included, waits for the whole
-// pipeline generation (readers, streamed writers, rest writers) to
-// drain, and merges the peers' batches into the inbox in sender-ID
-// order, self-addressed envelopes at position e.id, exactly like the
-// loopback transport. Self-addressed envelopes never touch a socket.
+// Exchange runs superstep `step` on this endpoint: it ships `out` —
+// the machine's envelopes, self-addressed ones included — one frame per
+// peer, empty batches included, waits for the whole pipeline generation
+// (readers and writers) to drain, and merges the peers' batches into
+// the inbox in sender-ID order, self-addressed envelopes at position
+// e.id, exactly like the loopback transport. Self-addressed envelopes
+// never touch a socket.
 //
-// The superstep's deadline, installed on every connection before I/O,
-// was armed by BeginSuperstep: a dead or wedged peer surfaces as a
-// *transport.MachineError (wrapping os.ErrDeadlineExceeded) within it,
-// and cancellation tears the endpoint down, unblocking every parked
-// read. After any error the endpoint is closed and unusable.
-func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
-	_ = ctx // the superstep's guard/deadline were armed by BeginSuperstep
+// ctx's deadline is installed on every connection before I/O: a dead
+// or wedged peer surfaces as a *transport.MachineError (wrapping
+// os.ErrDeadlineExceeded) within it, and cancellation tears the
+// endpoint down, unblocking every parked read. After any error the
+// endpoint is closed and unusable.
+func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
 	perDest := e.perDest
 	for j := range perDest {
 		perDest[j] = perDest[j][:0]
 	}
 	for _, env := range out {
 		if env.To < 0 || int(env.To) >= e.k {
-			e.finishGuard()
 			e.Close() // peers are waiting on our batches; unblock them
 			return nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
 		}
 		perDest[env.To] = append(perDest[env.To], env)
 	}
+	sent := len(out) - len(perDest[e.id])
 
+	dl, release := e.ioGuard(ctx)
+	if release != nil {
+		defer release()
+	}
 	e.mu.Lock()
-	if !e.open || e.step != step {
-		open, openStep := e.open, e.step
-		e.mu.Unlock()
-		e.finishGuard()
-		e.Close()
-		return nil, fmt.Errorf("tcp: machine %d finish superstep %d without matching begin (open=%v step=%d)", e.id, step, open, openStep)
-	}
-	e.open = false
 	if e.closed {
-		// A mid-compute failure (a reader's verdict, a peer's blame
-		// frame, a SendBatch hitting dead sockets) already tore the
-		// endpoint down. Any released jobs drain against the closed
-		// conns; report the recorded cause, never a merged inbox.
 		e.mu.Unlock()
-		e.workWG.Wait()
-		e.finishGuard()
-		e.mu.Lock()
-		err := e.cause
-		if err == nil {
-			err = e.shrapnel
-		}
+		return nil, fmt.Errorf("tcp: machine %d exchange superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
+	}
+	if !e.started {
 		e.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("tcp: machine %d finish superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
-		}
-		return nil, err
+		return nil, fmt.Errorf("tcp: machine %d exchange superstep %d before Connect", e.id, step)
 	}
-	job := pipeJob{step: step, dl: e.dl}
-	pending, rest := 0, 0
-	for j := 0; j < e.k; j++ {
-		if j == e.id {
-			continue
-		}
-		if e.sentEager[j] {
-			if len(perDest[j]) > 0 {
-				e.mu.Unlock()
-				e.finishGuard()
-				e.Close()
-				return nil, fmt.Errorf("tcp: machine %d has rest envelopes for machine %d after streaming a batch to it in superstep %d", e.id, j, step)
-			}
-			continue
-		}
-		e.txSrc[j] = perDest[j]
-		pending++
-		rest += len(perDest[j])
-	}
-	// Tiny remainders skip the writer wakeups: when the rest is at most
-	// ~2 envelopes per peer, encoding is trivial and the cost of
+	e.cause, e.shrapnel = nil, nil
+	job := pipeJob{step: step, dl: dl}
+	// Tiny supersteps skip the writer wakeups: when at most ~2
+	// envelopes per peer leave, encoding is trivial and the cost of
 	// signalling k-1 parked goroutines dominates shipping k-1 few-byte
 	// frames (the k=16/batch=1 regression of the parallel pipeline).
 	// Write them serially on this goroutine instead — each connection's
@@ -916,39 +709,38 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 	// flush/syscall — while the readers stay parallel. A GOMAXPROCS=1
 	// process takes this path for every superstep: with one core the
 	// parallel writers can't overlap anyway, so the wakeups are all tax.
-	// sentEager is stable here — SendBatch only runs while the
-	// superstep computes, which happens-before FinishSuperstep.
-	inline := e.serialWriters || rest <= 2*e.k
+	inline := e.serialWriters || sent <= 2*e.k
+	// Signal order rotates with the superstep: machine i starts its
+	// sweep at peer (i+step) mod k, so the k machines do not all hammer
+	// peer 0's sockets first every superstep.
 	if !inline {
-		// Writers are released before any reader still parked: on a
-		// loaded machine the scheduler then tends to ship our outgoing
-		// frames before the readers poll, so reads find their peer's
-		// data already buffered instead of parking in netpoll first.
-		e.workWG.Add(pending)
+		// Writers are released before the readers: on a loaded machine
+		// the scheduler then tends to ship our outgoing frames before
+		// the readers poll, so reads find their peer's data already
+		// buffered instead of parking in netpoll first.
+		e.workWG.Add(e.k - 1)
 		for o := 0; o < e.k; o++ {
-			j := (e.id + step + o) % e.k
-			if j != e.id && !e.sentEager[j] {
+			if j := (e.id + step + o) % e.k; j != e.id {
 				e.writerCh[j] <- job
 			}
 		}
 	}
-	e.releaseReadersLocked()
+	e.workWG.Add(e.k - 1)
+	for o := 0; o < e.k; o++ {
+		if j := (e.id + step + o) % e.k; j != e.id {
+			e.readerCh[j] <- job
+		}
+	}
 	e.mu.Unlock()
 	if inline {
 		for o := 0; o < e.k; o++ {
-			j := (e.id + step + o) % e.k
-			if j != e.id && !e.sentEager[j] {
+			if j := (e.id + step + o) % e.k; j != e.id {
 				e.runWriter(j, job)
 			}
 		}
 	}
 
 	e.workWG.Wait()
-	e.finishGuard()
-	// Streamed batch slices are machine-owned; drop the references now
-	// that their writers are done, honouring the "must not retain"
-	// ownership rule.
-	clear(e.txSrc)
 	// Report the error that diagnoses the failure, not the teardown:
 	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
 	// expired deadline) apart from the net.ErrClosed shrapnel of our own
@@ -1199,7 +991,7 @@ func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) 
 }
 
 // driveJob is one superstep's assignment for a cluster-side endpoint
-// driver: finish this superstep with this outbox under this context.
+// driver: exchange this superstep's outbox under this context.
 type driveJob[M any] struct {
 	ctx  context.Context
 	step int
@@ -1211,7 +1003,7 @@ type driveJob[M any] struct {
 // loopback TCP connection. Each endpoint is owned by a persistent driver
 // goroutine, signalled once per superstep — no goroutine or error-slice
 // churn on the steady-state path. A superstep ends when all k drivers
-// have returned: an endpoint's FinishSuperstep returns only after its
+// have returned: an endpoint's Exchange returns only after its
 // k-1 readers have received and checked their peer's frame for that
 // superstep (empty batches included), so the drivers' WaitGroup is
 // already the observation barrier and no control-plane round is needed.
@@ -1227,10 +1019,6 @@ type Transport[M any] struct {
 	wg      sync.WaitGroup
 	errs    []error
 	results [][]transport.Envelope[M]
-
-	// streamed is set by the superstep's first SendBatch, which then
-	// releases the readers of every endpoint, not only the sender's.
-	streamed atomic.Bool
 
 	mu        sync.Mutex
 	closed    bool
@@ -1268,7 +1056,7 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 }
 
 // driver is the persistent goroutine owning endpoint i: one endpoint
-// FinishSuperstep per signal, parked in between, exits when Close
+// Exchange per signal, parked in between, exits when Close
 // closes its channel. The same close-under-mutex discipline as the
 // endpoint's pipeWorker keeps the WaitGroup sound against a concurrent
 // Close. On error the endpoint has already closed itself; the close
@@ -1276,72 +1064,26 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 // no driver hangs.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		t.results[i], t.errs[i] = t.eps[i].FinishSuperstep(job.ctx, job.step, job.out)
+		t.results[i], t.errs[i] = t.eps[i].Exchange(job.ctx, job.step, job.out)
 		t.wg.Done()
 	}
 }
 
-// BeginSuperstep implements transport.Transport: it opens the superstep
-// on every endpoint, arming the per-superstep deadline guards. Endpoints
-// are opened serially under the transport mutex — the same t.mu→e.mu
-// lock order as Close — which is cheap (no I/O happens in an endpoint
-// BeginSuperstep) and gives SendBatch a consistent "all open" view.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("tcp: begin superstep %d on closed transport: %w", step, net.ErrClosed)
-	}
-	t.streamed.Store(false)
-	for i, e := range t.eps {
-		if err := e.BeginSuperstep(ctx, step); err != nil {
-			return fmt.Errorf("tcp: machine %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// SendBatch implements transport.Transport: machine from's eager batch
-// for machine to goes straight to from's endpoint, which hands it to
-// the parked writer worker for that peer. Called concurrently from the
-// machines' compute goroutines (distinct senders), per the contract;
-// each endpoint serialises its own state under its own mutex, so no
-// transport-level lock is needed — or wanted, it would serialise the
-// very sends streaming exists to overlap.
-//
-// The superstep's first SendBatch releases the readers of every
-// endpoint. All k machines share one compute barrier here, so a
-// receiver whose readers waited for its own FinishSuperstep would not
-// drain a sender whose inline write filled the socket buffer, and the
-// sender's compute would never reach that barrier.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if int(from) < 0 || int(from) >= len(t.eps) {
-		return fmt.Errorf("tcp: SendBatch from invalid machine %d", from)
-	}
-	if !t.streamed.Load() && t.streamed.CompareAndSwap(false, true) {
-		for _, e := range t.eps {
-			e.armReaders()
-		}
-	}
-	return t.eps[from].SendBatch(from, to, batch)
-}
-
-// FinishSuperstep implements transport.Transport: each endpoint ships
-// its rest envelopes over its sockets concurrently (signalled to the
-// persistent drivers), and no inbox is released to the cluster before
-// every endpoint has received all of its peers' frames, streamed and
-// rest alike. The per-endpoint inboxes reach the cluster in
-// double-buffered outer slices.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// Exchange implements transport.Transport: each endpoint ships its
+// envelopes over its sockets concurrently (signalled to the persistent
+// drivers), and no inbox is released to the cluster before every
+// endpoint has received all of its peers' frames. The per-endpoint
+// inboxes reach the cluster in double-buffered outer slices.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
-	if len(rest) != k {
-		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(rest), k)
+	if len(outs) != k {
+		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(outs), k)
 	}
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("tcp: finish superstep %d on closed transport: %w", step, net.ErrClosed)
+		return nil, fmt.Errorf("tcp: exchange superstep %d on closed transport: %w", step, net.ErrClosed)
 	}
 	for i := 0; i < k; i++ {
 		t.errs[i] = nil
@@ -1349,7 +1091,7 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: rest[i]}
+		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: outs[i]}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()

@@ -50,24 +50,6 @@ func randomOuts(r *rng.RNG, k int) [][]transport.Envelope[testMsg] {
 	return outs
 }
 
-// superstepper is the Begin/Finish surface shared by a cluster-side
-// Transport (O = [][]Envelope) and a single Endpoint (O = []Envelope).
-type superstepper[O any] interface {
-	BeginSuperstep(ctx context.Context, step int) error
-	FinishSuperstep(ctx context.Context, step int, rest O) (O, error)
-}
-
-// exchange runs one lockstep superstep — nothing streamed — on a
-// transport or an endpoint: BeginSuperstep, then FinishSuperstep with
-// every envelope.
-func exchange[O any](s superstepper[O], ctx context.Context, step int, out O) (O, error) {
-	if err := s.BeginSuperstep(ctx, step); err != nil {
-		var zero O
-		return zero, err
-	}
-	return s.FinishSuperstep(ctx, step, out)
-}
-
 func TestTCPExchangeMatchesLoopback(t *testing.T) {
 	const k = 5
 	tr, err := New[testMsg](k, testCodec{})
@@ -81,11 +63,11 @@ func TestTCPExchangeMatchesLoopback(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		outsT := randomOuts(rT, k)
 		outsL := randomOuts(rL, k)
-		got, err := exchange(tr, context.Background(), step, outsT)
+		got, err := tr.Exchange(context.Background(), step, outsT)
 		if err != nil {
 			t.Fatalf("superstep %d: %v", step, err)
 		}
-		want, err := exchange(lb, context.Background(), step, outsL)
+		want, err := lb.Exchange(context.Background(), step, outsL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +89,7 @@ func TestTCPEmptySuperstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	inboxes, err := exchange(tr, context.Background(), 0, make([][]transport.Envelope[testMsg], k))
+	inboxes, err := tr.Exchange(context.Background(), 0, make([][]transport.Envelope[testMsg], k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +111,7 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := exchange(tr, context.Background(), 0, make([][]transport.Envelope[testMsg], k)); err != nil {
+	if _, err := tr.Exchange(context.Background(), 0, make([][]transport.Envelope[testMsg], k)); err != nil {
 		t.Fatalf("healthy superstep: %v", err)
 	}
 	// Sever one data connection behind the transport's back.
@@ -137,7 +119,7 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := exchange(tr, context.Background(), 1, make([][]transport.Envelope[testMsg], k))
+		_, err := tr.Exchange(context.Background(), 1, make([][]transport.Envelope[testMsg], k))
 		done <- err
 	}()
 	select {
@@ -226,7 +208,7 @@ func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 	start := time.Now()
 	// Machine 1 never runs the superstep: machine 0's read of its batch can
 	// only end by deadline.
-	_, err = exchange(eps[0], ctx, 0, nil)
+	_, err = eps[0].Exchange(ctx, 0, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("superstep against a wedged peer succeeded")
@@ -266,7 +248,7 @@ func TestExchangeCancellationUnblocks(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := exchange(eps[0], ctx, 0, nil)
+		_, err := eps[0].Exchange(ctx, 0, nil)
 		done <- err
 	}()
 	select {

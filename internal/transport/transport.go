@@ -44,95 +44,54 @@ type Envelope[M any] struct {
 }
 
 // Transport moves one superstep's envelopes between the k machines.
-// Every superstep is one Begin/Send/Finish cycle:
-//
-//   - BeginSuperstep(ctx, step) opens the superstep. ctx bounds it
-//     until FinishSuperstep returns.
-//   - SendBatch(from, to, batch), optional and zero or more times,
-//     hands the transport one finished per-peer batch while machines
-//     are still computing (streaming). A run with no emitter bound
-//     never calls it: that is the lockstep schedule.
-//   - FinishSuperstep(ctx, step, rest) ships rest[i] — machine i's
-//     envelopes that were not streamed, self-addressed ones included,
-//     already validated (To in range, Words >= 0) and stamped with From
-//     — waits until every batch of the superstep has been routed, and
-//     returns inboxes[j], the envelopes delivered to machine j for the
-//     next superstep.
+// Every superstep is one Exchange call: Exchange(ctx, step, outs) ships
+// outs[i] — machine i's envelopes, self-addressed ones included, already
+// validated (To in range, Words >= 0) and stamped with From — waits
+// until every batch of the superstep has been routed, and returns
+// inboxes[j], the envelopes delivered to machine j for the next
+// superstep.
 //
 // Inboxes are assembled in sender-ID order (self-addressed envelopes of
-// machine j appear at position j of that order), and a streamed batch
-// for peer j simply IS sender i's contribution to inbox j: the caller
-// never mixes a streamed batch and rest envelopes for the same
-// (from, to) pair in one superstep. The schedule is therefore not
-// observable in the results. FinishSuperstep is the superstep's
-// barrier: it returns only after every machine's batches have been
-// routed, so a superstep cannot overtake a straggler.
+// machine j appear at position j of that order), preserving each
+// sender's envelope order. Exchange is the superstep's barrier: it
+// returns only after every machine's batches have been routed, so a
+// superstep cannot overtake a straggler.
 //
-// Failure contract. ctx bounds the superstep from BeginSuperstep
-// through FinishSuperstep: implementations that can block on remote
-// machines must observe ctx's deadline and cancellation so a crashed or
-// wedged peer surfaces as an error within the deadline instead of an
-// indefinite hang. When the failure can be attributed to a specific
-// machine, the returned error wraps a *MachineError naming it and the
-// superstep. A superstep is not restartable after an error: an
-// implementation may tear down its resources to unblock peers (the tcp
-// mesh does), so the caller must treat any error as fatal for the run
-// and Close the transport.
+// Failure contract. ctx bounds the superstep's Exchange:
+// implementations that can block on remote machines must observe ctx's
+// deadline and cancellation so a crashed or wedged peer surfaces as an
+// error within the deadline instead of an indefinite hang. When the
+// failure can be attributed to a specific machine, the returned error
+// wraps a *MachineError naming it and the superstep. A superstep is not
+// restartable after an error: an implementation may tear down its
+// resources to unblock peers (the tcp mesh does), so the caller must
+// treat any error as fatal for the run and Close the transport.
 //
 // A Transport carries payloads verbatim and must preserve both the
 // per-sender envelope order and the Words field — the accounting in
 // core depends on it.
 //
 // Buffer ownership. A Transport may recycle inbox storage: the inboxes
-// returned by FinishSuperstep (both the outer slice and the envelope
-// storage it points into) remain valid only until the second-following
-// FinishSuperstep call on the same transport. Implementations
-// double-buffer so that the previous superstep's inboxes — and any
-// outgoing envelopes that alias them, e.g. second-hop forwards — are
-// never overwritten while the current superstep is assembled; callers
-// that need an envelope beyond that window must copy it. Symmetrically,
-// rest and every streamed batch stay owned by the caller: the caller
-// must not mutate a streamed batch until FinishSuperstep returns, and a
-// Transport must finish reading both before FinishSuperstep returns and
-// must not retain or mutate them afterwards, so machines may recycle
+// returned by Exchange (both the outer slice and the envelope storage
+// it points into) remain valid only until the second-following Exchange
+// call on the same transport. Implementations double-buffer so that the
+// previous superstep's inboxes — and any outgoing envelopes that alias
+// them, e.g. second-hop forwards — are never overwritten while the
+// current superstep is assembled; callers that need an envelope beyond
+// that window must copy it. Symmetrically, outs stays owned by the
+// caller: a Transport must finish reading it before Exchange returns
+// and must not retain or mutate it afterwards, so machines may recycle
 // their outbox slices across supersteps.
-//
-// A superstep opened and never finished (the run terminated
-// quiescently, or aborted on an error) is abandoned by Close, which
-// unblocks any parked I/O.
 type Transport[M any] interface {
-	BatchSender[M]
-
-	// BeginSuperstep opens superstep step; SendBatch is accepted until
-	// the matching FinishSuperstep.
-	BeginSuperstep(ctx context.Context, step int) error
-
-	// FinishSuperstep ships the not-yet-streamed remainder and returns
-	// the assembled inboxes — the superstep's barrier.
-	FinishSuperstep(ctx context.Context, step int, rest [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
+	// Exchange ships one superstep's outboxes and returns the assembled
+	// inboxes — the superstep's barrier.
+	Exchange(ctx context.Context, step int, outs [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
 
 	// Close releases transport resources (listeners, connections) and
 	// unblocks any I/O still pending on them. It is safe to call more
 	// than once and from a goroutine other than the one driving the
 	// superstep; no other method may be called after Close.
 	Close() error
-}
-
-// BatchSender is the eager-emission half of a Transport: hand one
-// finished, validated batch for one peer to the substrate while the
-// superstep is still computing. It is the only part of the Transport
-// that core.Emitter holds, so the machine-side emitter does not see the
-// superstep lifecycle.
-//
-// SendBatch may be called concurrently for different senders (one
-// goroutine per `from` at a time), only between BeginSuperstep and
-// FinishSuperstep of the same superstep, at most once per (from, to)
-// pair per superstep, never with from == to, and only with envelopes
-// already validated (To == to, Words >= 0) and stamped with From. An
-// error means the batch was NOT accepted and the run is failing; the
-// caller must surface it and stop emitting.
-type BatchSender[M any] interface {
-	SendBatch(from, to MachineID, batch []Envelope[M]) error
 }
 
 // MachineError attributes a distributed-runtime failure to the machine

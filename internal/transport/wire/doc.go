@@ -103,19 +103,15 @@
 // correct failure attribution across cascading teardowns (transport/tcp
 // castBlame).
 //
-// # Arrival order under streaming supersteps
+// # Arrival order
 //
-// Nothing in the frame layout assumes lockstep scheduling, but readers
-// must not either: under the streaming schedule (DESIGN.md "Streaming
-// supersteps") a machine ships each peer's batch as soon as its compute
-// finalises it, so frames for superstep s arrive spread across the
-// *whole* of superstep s rather than clustered after a barrier, and the
-// relative arrival order of frames from different senders carries no
-// information. The per-frame superstep field is therefore the only
-// valid sequencing key — a decoder may assert that consecutive frames
-// on one connection carry monotonically increasing superstep values
-// (one frame per peer per superstep still holds, either schedule), but
-// must never infer phase boundaries from inter-frame timing.
+// Every machine writes exactly one frame per peer per superstep, after
+// its compute, but the relative arrival order of frames from different
+// senders carries no information. The per-frame superstep field is
+// therefore the only valid sequencing key — a decoder may assert that
+// consecutive frames on one connection carry monotonically increasing
+// superstep values, but must never infer phase boundaries from
+// inter-frame timing.
 //
 // # Payload codecs
 //

@@ -176,8 +176,8 @@ type RunConfig struct {
 	// context.Background.
 	Context context.Context
 	// SuperstepTimeout bounds each superstep's cross-machine phases: the
-	// deadline covers BeginSuperstep through FinishSuperstep, and on
-	// socket substrates a machine that crashes or wedges mid-superstep
+	// deadline covers the superstep's exchange, and on socket
+	// substrates a machine that crashes or wedges mid-superstep
 	// surfaces as a machine-attributed error within the timeout instead
 	// of hanging the cluster. 0 means no deadline. The happy path —
 	// Stats, outputs, determinism — is identical with or without one.
@@ -192,15 +192,6 @@ type RunConfig struct {
 	// hashes are identical with or without a recorder, and nil (the
 	// default) keeps the engine on its zero-allocation span-free path.
 	Recorder Recorder
-	// Streaming opts the run into streaming supersteps on every
-	// transport (TCP ships eagerly; the loopback stages without wire):
-	// machines that call the streaming emit API hand finished per-peer
-	// batches to the transport mid-superstep, overlapping compute with
-	// communication. Purely a scheduling knob: Stats, outputs, and
-	// determinism hashes are bit-identical with it on or off, with or
-	// without checkpointing, and machines that never emit eagerly run
-	// exactly as before. Default off.
-	Streaming bool
 	// CheckpointEvery opts the run into per-superstep checkpointing and
 	// machine-failure recovery: machine state is captured every
 	// CheckpointEvery supersteps and a transport-level machine loss is
@@ -209,8 +200,7 @@ type RunConfig struct {
 	// times). Stats, outputs, and hashes of a recovered run are
 	// bit-identical to an unkilled one. 0 (the default) keeps the
 	// fail-fast behaviour and the zero-overhead path. Requires every
-	// machine to implement core.Snapshotter; works under either
-	// schedule.
+	// machine to implement core.Snapshotter.
 	CheckpointEvery int
 	// CheckpointDir persists checkpoints to disk (two most recent
 	// retained) instead of the default in-memory ring. Only meaningful
@@ -230,7 +220,6 @@ func (rc RunConfig) coreConfig(k, bandwidth int, seed uint64) core.Config {
 		Context:          rc.Context,
 		SuperstepTimeout: rc.SuperstepTimeout,
 		Recorder:         rc.Recorder,
-		Streaming:        rc.Streaming,
 	}
 	if rc.CheckpointEvery > 0 {
 		var sink core.CheckpointSink = core.NewMemorySink(2)

@@ -5,7 +5,7 @@ package kmachine_test
 // state restored from the latest consistent cut, missed supersteps
 // replayed — with output and Stats bit-identical to an unkilled golden
 // run, for every registry algorithm, on the loopback and the TCP
-// substrate, under the lockstep and the streaming schedule. Alongside sits the Snapshotter property test: restoring a
+// substrate. Alongside sits the Snapshotter property test: restoring a
 // snapshot into an arbitrarily dirty machine must reproduce the
 // snapshotted machine's subsequent supersteps bit for bit.
 
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,33 +31,14 @@ import (
 	"kmachine/internal/triangle"
 )
 
-// sendCounter wraps a transport and counts the batches machines stream
-// through SendBatch, so a streaming arm can prove it really streamed.
-type sendCounter[M any] struct {
-	core.Transport[M]
-	sends *atomic.Int64
-}
-
-func (c sendCounter[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	c.sends.Add(1)
-	return c.Transport.SendBatch(from, to, batch)
-}
-
-// recArm is one cell of the recovery matrix: substrate and schedule.
-type recArm struct {
-	kind      transport.Kind
-	streaming bool
-}
-
 // recoveredRun executes the algorithm under the checkpoint policy with
 // a chaos fault killing recVictim at killStep (killStep < 0 runs
 // fault-free — the golden arm). Recovery reopens fresh, fault-free
 // transports of the same kind, so a recovered run is "replacement
-// machine joins a rebuilt mesh". Returns the merged output, the Stats,
-// and how many batches were streamed through SendBatch across every
-// transport of the run.
+// machine joins a rebuilt mesh". Returns the merged output and the
+// Stats.
 func recoveredRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
-	arm recArm, every, killStep int) (O, *core.Stats, int64) {
+	kind transport.Kind, every, killStep int) (O, *core.Stats) {
 	t.Helper()
 	machines := make([]algo.Machine[M, L], k)
 	for i := 0; i < k; i++ {
@@ -71,21 +51,14 @@ func recoveredRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in parti
 		}
 	}
 	cfg := core.Config{K: k, Bandwidth: core.DefaultBandwidth(failN), Seed: 13,
-		SuperstepTimeout: 5 * time.Second, Streaming: arm.streaming}
+		SuperstepTimeout: 5 * time.Second}
 	if every > 0 {
 		cfg.Checkpoint = core.CheckpointPolicy{Every: every}
 	}
 	cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[M] { return machines[id] })
 
-	var sends atomic.Int64
-	var raw core.Transport[M]
 	open := func() (core.Transport[M], error) {
-		tr, err := core.OpenTransport[M](arm.kind, k, a.Codec)
-		if err != nil {
-			return nil, err
-		}
-		raw = tr
-		return sendCounter[M]{Transport: tr, sends: &sends}, nil
+		return core.OpenTransport[M](kind, k, a.Codec)
 	}
 	inner, err := open()
 	if err != nil {
@@ -93,16 +66,16 @@ func recoveredRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in parti
 	}
 	tr := inner
 	if killStep >= 0 {
-		switch arm.kind {
+		switch kind {
 		case transport.InMem:
 			tr = chaos.Wrap[M](inner, chaos.KillAt(recVictim, killStep))
 		case transport.TCP:
-			tt := raw.(*tcp.Transport[M])
+			tt := inner.(*tcp.Transport[M])
 			tr = chaos.Wrap[M](inner, chaos.DropConnAt(recVictim, killStep, func() {
 				tt.SeverMachine(recVictim)
 			}))
 		default:
-			t.Fatalf("unknown transport kind %q", arm.kind)
+			t.Fatalf("unknown transport kind %q", kind)
 		}
 	}
 	defer tr.Close()
@@ -122,7 +95,7 @@ func recoveredRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in parti
 	for i, m := range machines {
 		locals[i] = m.Output()
 	}
-	return a.Merge(locals), stats, sends.Load()
+	return a.Merge(locals), stats
 }
 
 const recVictim = 3
@@ -137,31 +110,19 @@ type recCase struct {
 	// capture and exercises the arm-time restart-from-zero image, while
 	// the superstep-2 kills resume from a genuine mid-run checkpoint.
 	killStep int
-	// emits marks the algorithms whose machines stream batches through
-	// core.EmitBuckets; their streaming arms must show SendBatch
-	// traffic, proving the checkpointed run did stream.
-	emits bool
-	check func(t *testing.T, arm recArm, killStep int, emits bool)
+	check    func(t *testing.T, kind transport.Kind, killStep int)
 }
 
 // checkRecovered is the generic body of every matrix cell: the killed
 // run's output must be deeply equal to the golden run's, the Stats
-// bit-identical, and exactly one machine replacement performed. A
-// lockstep arm must stream nothing; a streaming arm of an emitting
-// algorithm must stream in both runs.
+// bit-identical, and exactly one machine replacement performed.
 func checkRecovered[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
-	arm recArm, killStep int, emits bool) {
+	kind transport.Kind, killStep int) {
 	t.Helper()
 	base := runtime.NumGoroutine()
 	const every = 2
-	goldenOut, goldenStats, goldenSends := recoveredRun(t, a, in, k, arm, every, -1)
-	gotOut, gotStats, gotSends := recoveredRun(t, a, in, k, arm, every, killStep)
-	switch {
-	case !arm.streaming && goldenSends+gotSends != 0:
-		t.Errorf("lockstep arm streamed %d+%d batches through SendBatch, want none", goldenSends, gotSends)
-	case arm.streaming && emits && (goldenSends == 0 || gotSends == 0):
-		t.Errorf("streaming arm streamed %d (golden) and %d (killed) batches through SendBatch, want some in both", goldenSends, gotSends)
-	}
+	goldenOut, goldenStats := recoveredRun(t, a, in, k, kind, every, -1)
+	gotOut, gotStats := recoveredRun(t, a, in, k, kind, every, killStep)
 	if !reflect.DeepEqual(gotOut, goldenOut) {
 		t.Errorf("recovered output diverges from unkilled golden run")
 	}
@@ -188,33 +149,28 @@ func TestRecoveryRegistryWideBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []recCase{
-		{"pagerank", 2, true, func(t *testing.T, arm recArm, ks int, emits bool) {
-			checkRecovered(t, pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15)), graphIn, failK, arm, ks, emits)
+		{"pagerank", 2, func(t *testing.T, kind transport.Kind, ks int) {
+			checkRecovered(t, pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15)), graphIn, failK, kind, ks)
 		}},
-		{"conncomp", 2, false, func(t *testing.T, arm recArm, ks int, emits bool) {
-			checkRecovered(t, conncomp.Descriptor(failN), graphIn, failK, arm, ks, emits)
+		{"conncomp", 2, func(t *testing.T, kind transport.Kind, ks int) {
+			checkRecovered(t, conncomp.Descriptor(failN), graphIn, failK, kind, ks)
 		}},
-		{"triangle", 2, false, func(t *testing.T, arm recArm, ks int, emits bool) {
-			checkRecovered(t, triangle.Descriptor(failK, triangle.AlgorithmOptions()), graphIn, failK, arm, ks, emits)
+		{"triangle", 2, func(t *testing.T, kind transport.Kind, ks int) {
+			checkRecovered(t, triangle.Descriptor(failK, triangle.AlgorithmOptions()), graphIn, failK, kind, ks)
 		}},
-		{"dsort", 2, true, func(t *testing.T, arm recArm, ks int, emits bool) {
-			checkRecovered(t, sortAlgo, edgeless, failK, arm, ks, emits)
+		{"dsort", 2, func(t *testing.T, kind transport.Kind, ks int) {
+			checkRecovered(t, sortAlgo, edgeless, failK, kind, ks)
 		}},
-		{"routing", 0, false, func(t *testing.T, arm recArm, ks int, emits bool) {
-			checkRecovered(t, routing.Descriptor(failN), edgeless, failK, arm, ks, emits)
+		{"routing", 0, func(t *testing.T, kind transport.Kind, ks int) {
+			checkRecovered(t, routing.Descriptor(failN), edgeless, failK, kind, ks)
 		}},
 	}
 	for _, tc := range cases {
 		for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
 			t.Run(tc.name+"/"+string(kind), func(t *testing.T) {
-				for _, sched := range []struct {
-					name      string
-					streaming bool
-				}{{"lockstep", false}, {"streaming", true}} {
-					t.Run(sched.name, func(t *testing.T) {
-						tc.check(t, recArm{kind: kind, streaming: sched.streaming}, tc.killStep, tc.emits)
-					})
-				}
+				// The innermost level keeps the name of the (only)
+				// superstep schedule.
+				t.Run("lockstep", func(t *testing.T) { tc.check(t, kind, tc.killStep) })
 			})
 		}
 	}
@@ -227,8 +183,8 @@ func TestRecoveryRegistryWideBitIdentical(t *testing.T) {
 func TestRecoveryRestartFromZero(t *testing.T) {
 	in := failurePartition(t)
 	a := conncomp.Descriptor(failN)
-	golden, goldenStats, _ := recoveredRun(t, a, in, failK, recArm{kind: transport.InMem}, 1000, -1)
-	got, gotStats, _ := recoveredRun(t, a, in, failK, recArm{kind: transport.InMem}, 1000, failStep)
+	golden, goldenStats := recoveredRun(t, a, in, failK, transport.InMem, 1000, -1)
+	got, gotStats := recoveredRun(t, a, in, failK, transport.InMem, 1000, failStep)
 	if !reflect.DeepEqual(got, golden) {
 		t.Errorf("restart-from-zero output diverges from golden")
 	}

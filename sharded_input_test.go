@@ -12,6 +12,7 @@ package kmachine_test
 // downstream can tell how they got there.
 
 import (
+	"fmt"
 	"testing"
 
 	"kmachine/internal/algo"
@@ -19,11 +20,23 @@ import (
 	"kmachine/internal/transport"
 )
 
-// TestRegistryShardedEquivalence runs every algorithm full vs sharded
-// on the in-process substrate and through the standalone node runtime
-// (where the per-process memory win actually lands: each node process
-// builds only its own shard).
+// TestRegistryShardedEquivalence is the feature-contract matrix: every
+// algorithm × {inmem, tcp, node runtime} × {checkpoint off, every 2
+// supersteps} × {full, sharded input}, each run compared on Stats and
+// output hash with the plain full-input inmem run. The node runtime is
+// where sharding's per-process memory win actually lands (each node
+// process builds only its own shard); the checkpoint arms prove that
+// arming the capture path perturbs nothing on any substrate or setup
+// path.
 func TestRegistryShardedEquivalence(t *testing.T) {
+	substrates := []struct {
+		name string
+		run  func(*algo.Entry, algo.Problem) (*algo.Outcome, error)
+	}{
+		{"inmem", func(e *algo.Entry, p algo.Problem) (*algo.Outcome, error) { return e.Run(p, transport.InMem) }},
+		{"tcp", func(e *algo.Entry, p algo.Problem) (*algo.Outcome, error) { return e.Run(p, transport.TCP) }},
+		{"node", (*algo.Entry).RunNodeLocal},
+	}
 	for _, name := range algo.Names() {
 		t.Run(name, func(t *testing.T) {
 			entry, ok := algo.Lookup(name)
@@ -32,29 +45,38 @@ func TestRegistryShardedEquivalence(t *testing.T) {
 			}
 			prob := suiteProblem(name)
 
-			full, err := entry.Run(prob, transport.InMem)
+			ref, err := entry.Run(prob, transport.InMem)
 			if err != nil {
-				t.Fatalf("full run: %v", err)
+				t.Fatalf("plain inmem run: %v", err)
 			}
-
-			sharded := prob
-			sharded.Sharded = true
-			sh, err := entry.Run(sharded, transport.InMem)
-			if err != nil {
-				t.Fatalf("sharded run: %v", err)
+			if ref.Hash == 0 {
+				t.Fatalf("plain inmem run produced zero output hash — comparison would be vacuous")
 			}
-			sameStats(t, "sharded-vs-full", sh.Stats, full.Stats)
-			if sh.Hash != full.Hash {
-				t.Errorf("output hash sharded %016x, full %016x", sh.Hash, full.Hash)
-			}
-
-			node, err := entry.RunNodeLocal(sharded)
-			if err != nil {
-				t.Fatalf("sharded node runtime run: %v", err)
-			}
-			sameStats(t, "sharded-node-vs-full", node.Stats, full.Stats)
-			if node.Hash != full.Hash {
-				t.Errorf("output hash sharded node %016x, full %016x", node.Hash, full.Hash)
+			for _, sub := range substrates {
+				for _, every := range []int{0, 2} {
+					for _, sharded := range []bool{false, true} {
+						if sub.name == "inmem" && every == 0 && !sharded {
+							continue // the reference run itself
+						}
+						input := "full"
+						if sharded {
+							input = "sharded"
+						}
+						t.Run(fmt.Sprintf("%s/ckpt=%d/%s", sub.name, every, input), func(t *testing.T) {
+							p := prob
+							p.Sharded = sharded
+							p.Checkpoint = algo.CheckpointSpec{Every: every}
+							got, err := sub.run(entry, p)
+							if err != nil {
+								t.Fatalf("run: %v", err)
+							}
+							sameStats(t, "vs-plain-inmem", got.Stats, ref.Stats)
+							if got.Hash != ref.Hash {
+								t.Errorf("output hash %016x, plain inmem %016x", got.Hash, ref.Hash)
+							}
+						})
+					}
+				}
 			}
 		})
 	}
