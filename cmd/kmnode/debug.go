@@ -24,8 +24,8 @@ import (
 //	                             (-1 before the first; the "where is
 //	                             the run now" gauge)
 //	kmachine.supersteps          supersteps entered so far (current+1)
-//	kmachine.wire.bytes_sent     data-plane bytes shipped (frame spans;
-//	kmachine.wire.bytes_recv     control frames are not span-recorded —
+//	kmachine.wire.bytes_sent     batch-frame bytes shipped (frame spans;
+//	kmachine.wire.bytes_recv     blame frames are not span-recorded —
 //	kmachine.wire.frames_sent    WireStats remains the physical total)
 //	kmachine.wire.frames_recv
 //	kmachine.wire.per_peer       the same four counters broken down by

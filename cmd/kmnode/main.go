@@ -5,8 +5,10 @@
 //
 // Standalone mode starts ONE machine of the cluster in this process;
 // the k processes (possibly on k hosts) find each other through the
-// -peers list and run the distributed superstep protocol, with machine
-// 0 acting as the coordinator:
+// -peers list and run the distributed superstep protocol. No machine
+// coordinates: each folds the reports its peers attach to their data
+// frames and decides termination itself, so all k print the same
+// stats:
 //
 //	kmnode -id 0 -k 4 -listen 127.0.0.1:9000 \
 //	       -peers 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 \
@@ -38,8 +40,8 @@
 // are bit-identical to the default path.
 //
 // Observability: -trace out.json records a wall-clock phase timeline
-// (compute / barrier / exchange per machine and superstep, plus
-// per-peer frame spans) and writes it as Chrome trace-event JSON —
+// (compute / exchange per machine and superstep, plus per-peer frame
+// spans) and writes it as Chrome trace-event JSON —
 // open it in chrome://tracing or Perfetto. -debug-addr serves
 // net/http/pprof and expvar (see debug.go for the published gauges)
 // while the run is in flight; -debug-linger keeps that server alive
@@ -318,10 +320,9 @@ func (t *telemetry) flush() {
 	}
 	spans := t.trace.Spans()
 	if sum := obs.Summarize(spans); sum.Supersteps > 0 {
-		fmt.Printf("phases over %d supersteps: compute p50=%v max=%v | barrier p50=%v max=%v | exchange p50=%v max=%v | spans cover %.1f%% of %v wall\n",
+		fmt.Printf("phases over %d supersteps: compute p50=%v max=%v | exchange p50=%v max=%v | spans cover %.1f%% of %v wall\n",
 			sum.Supersteps,
 			time.Duration(sum.Compute.P50Ns), time.Duration(sum.Compute.MaxNs),
-			time.Duration(sum.Barrier.P50Ns), time.Duration(sum.Barrier.MaxNs),
 			time.Duration(sum.Exchange.P50Ns), time.Duration(sum.Exchange.MaxNs),
 			100*sum.Coverage, time.Duration(sum.WallNs).Round(time.Millisecond))
 	}

@@ -129,8 +129,9 @@ func ExecWire[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core
 
 // NodeRunLocal executes the algorithm over the standalone node runtime:
 // the full k-machine cluster in this process, every machine with its
-// own listener and dialer on loopback TCP and the coordinator-driven
-// superstep protocol of transport/node (cmd/kmnode -local). Outputs and
+// own listener and dialer on loopback TCP and the superstep protocol of
+// transport/node, in which every machine decides termination itself
+// (cmd/kmnode -local). Outputs and
 // Stats are bit-identical to Run on the same inputs. ncfg is the
 // per-machine Config template of node.RunLocal (ID/addresses ignored);
 // its K must match the partition's, and its Context/SuperstepTimeout

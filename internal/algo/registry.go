@@ -167,7 +167,8 @@ type Outcome struct {
 	// Algo is the registered name.
 	Algo string
 	// Stats is the measured communication profile. For standalone runs
-	// it is the cluster-wide Stats shipped by the coordinator.
+	// it is the cluster-wide Stats, which every node folds from its
+	// peers' frame reports.
 	Stats *core.Stats
 	// Wire is the substrate's physical bytes-on-wire (zero for the
 	// loopback, which ships none). Stats are bit-identical across

@@ -33,11 +33,11 @@ import (
 // inboxes.
 //
 // Placement of the cut, the same on both runtimes: after superstep s's
-// exchange (Exchange here; the continue verdict on the node
-// runtime). The Stats then already include s, machine state and RNG
-// sit at their post-compute position, and the inboxes hold exactly
-// what superstep s+1 reads, so a resumed run starts at s+1 with
-// nothing to re-account and nothing in flight. A machine lost before the next cut replays at most Every supersteps.
+// exchange (Exchange here; on the node runtime, the exchange whose
+// reports settle to continue). The Stats then already include s,
+// machine state and RNG sit at their post-compute position, and the
+// inboxes hold exactly what superstep s+1 reads, so a resumed run
+// starts at s+1 with nothing to re-account and nothing in flight. A machine lost before the next cut replays at most Every supersteps.
 // Quiescence returns before the exchange, so the final superstep is
 // never captured. An additional arm-time image at superstep -1 (fresh
 // state, empty inboxes, zero stats) covers failures that land before
@@ -47,7 +47,7 @@ import (
 // One blob format serves both runtimes (KMCP v2, below). This engine
 // encodes it in one piece; on the node runtime each node encodes its
 // own section with AppendSection and an in-process assembler joins the
-// k sections and the coordinator's Stats with AssembleCheckpoint. Both
+// k sections and node 0's Stats with AssembleCheckpoint. Both
 // hand the blob to a CheckpointSink, and both decode it with
 // DecodeCheckpoint and RestoreSection.
 //
@@ -299,8 +299,8 @@ var ckptMagic = []byte{'K', 'M', 'C', 'P', 2}
 // Supersteps, Messages, Words, MaxRecvWords; uvarint k, then k
 // RecvWords and k SentWords; uvarint len(PerSuperstep), then six
 // uvarints per entry (Rounds, Messages, Words, MaxLinkWords,
-// MaxRecvWords, MaxSentWords). It is the Stats of a checkpoint and the
-// payload of the node runtime's stop verdict. Recoveries is left out:
+// MaxRecvWords, MaxSentWords). It is the Stats of a checkpoint.
+// Recoveries is left out:
 // it is a property of one execution, not of the computation.
 func AppendStats(dst []byte, s *Stats) []byte {
 	for _, v := range []int64{s.Rounds, int64(s.Supersteps), s.Messages, s.Words, s.MaxRecvWords} {

@@ -252,12 +252,12 @@ func (r *LinkRow) Reset() {
 }
 
 // Ledger is the home of the paper's §1.1 cost model, shared by the
-// in-process engine and the node runtime's coordinator — which is what
+// in-process engine and every node of the node runtime — which is what
 // makes Stats bit-identical across substrates by construction. Rows[i]
 // collects machine i's link loads for the current superstep (filled by
-// ChargeOuts, or from node reports); Charge prices the superstep and
-// clears the rows. Reusing one Ledger across supersteps allocates
-// nothing.
+// ChargeOuts, or from node reports); Settle decides and prices the
+// superstep and clears the rows. Reusing one Ledger across supersteps
+// allocates nothing.
 type Ledger struct {
 	Rows             []LinkRow
 	bandwidth        int
@@ -279,6 +279,18 @@ func NewLedger(k, bandwidth int, dropPerSuperstep bool) *Ledger {
 		l.Rows[i] = LinkRow{Words: words[i*k : (i+1)*k : (i+1)*k], touched: touched[i*k : i*k : (i+1)*k]}
 	}
 	return l
+}
+
+// Settle closes the superstep whose link loads the rows hold. A
+// quiescent superstep — every machine done and nothing sent, not even
+// to itself — ends the run for free and returns true; any other is
+// priced by Charge.
+func (l *Ledger) Settle(stats *Stats, messages int64, allDone, sent bool) (quiescent bool) {
+	if allDone && !sent {
+		return true
+	}
+	l.Charge(stats, messages)
+	return false
 }
 
 // Charge prices the superstep whose link loads the rows hold —

@@ -333,8 +333,8 @@ func transportFailed(runCtx context.Context, step int, op string, err error) err
 }
 
 // account charges every machine's superstep through ChargeOuts and
-// prices it in the ledger. done reports quiescence: every machine done
-// and nothing sent, in which case nothing is charged.
+// settles it in the ledger. done reports quiescence, in which case
+// nothing is charged.
 func (c *Cluster[M]) account(e *engine[M], stats *Stats, ledger *Ledger) (done bool, err error) {
 	var messages int64
 	allDone, pending := true, false
@@ -347,11 +347,7 @@ func (c *Cluster[M]) account(e *engine[M], stats *Stats, ledger *Ledger) (done b
 		pending = pending || sent
 		allDone = allDone && e.dones[i]
 	}
-	if allDone && !pending {
-		return true, nil
-	}
-	ledger.Charge(stats, messages)
-	return false, nil
+	return ledger.Settle(stats, messages, allDone, pending), nil
 }
 
 // ChargeOuts is the per-machine half of the §1.1 accounting, shared by

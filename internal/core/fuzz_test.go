@@ -2,8 +2,7 @@ package core
 
 // Hostile-input tests for the one checkpoint decoder: DecodeCheckpoint
 // and RestoreSection read bytes from a sink — a file on disk, for the
-// FileSink — and DecodeStats additionally reads the node runtime's stop
-// verdict off a peer's control connection. None may panic, hang, or
+// FileSink. None may panic, hang, or
 // size an allocation by an unchecked count, and whatever they accept
 // must survive a trip through the encoders unchanged.
 //

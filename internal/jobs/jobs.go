@@ -1,5 +1,4 @@
-// Package jobs is the coordinator-side job service of the resident
-// cluster daemon (kmnode -serve): a FIFO scheduler that serializes
+// Package jobs is the job service of the resident cluster daemon (kmnode -serve): a FIFO scheduler that serializes
 // submitted (algorithm, Problem, seed) requests onto one standing
 // k-machine mesh, plus the HTTP control surface in http.go.
 //
@@ -9,9 +8,10 @@
 // computation. The scheduler amortises that: the mesh is built once
 // (transport/node.LocalMesh over transport/tcp.Mesh), every job
 // attaches fresh typed endpoints framing its traffic with the job ID,
-// and the job-begin/job-end handshake certifies quiescent connections
-// between jobs. Per-job isolation is structural — fresh endpoints,
-// fresh coordinator Stats, per-job Recorder — so a job stream's
+// and each job's final exchange, in which every machine reads every
+// peer's last frame, leaves the connections quiescent for the next.
+// Per-job isolation is structural — fresh endpoints, fresh per-node
+// Stats, per-job Recorder — so a job stream's
 // outputs and Stats are bit-identical to the same jobs run on fresh
 // meshes (the determinism suite asserts exactly that).
 //

@@ -39,11 +39,11 @@ const (
 	// PhaseCompute is one machine's Step call: the model's "free" local
 	// computation, measured.
 	PhaseCompute Phase = iota
-	// PhaseBarrier is synchronisation wait. In the in-process engine it
-	// is the time between a machine finishing its Step and the
-	// superstep barrier releasing (i.e. waiting for the slowest
-	// machine); in the node runtime it is the coordinator report/verdict
-	// control round that plays the same role.
+	// PhaseBarrier is synchronisation wait, recorded by the in-process
+	// engine only: the time between a machine finishing its Step and
+	// the superstep barrier releasing (i.e. waiting for the slowest
+	// machine). The node runtime has no barrier; its wait shows inside
+	// the exchange and the per-peer frame-read spans.
 	PhaseBarrier
 	// PhaseExchange is the transport moving one superstep's batched
 	// envelopes. The in-process engine records it once per superstep as

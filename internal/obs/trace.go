@@ -36,7 +36,7 @@ type Counters struct {
 	PhaseCount, PhaseNs [NumPhases]int64
 	// FramesSent/BytesSent total the frame-write spans' frames and
 	// on-wire bytes; FramesRecv/BytesRecv the frame-read spans'. They
-	// cover the data plane only (control frames are not span-recorded);
+	// cover batch frames only (blame frames are not span-recorded);
 	// transport.WireStats remains the physical-layer total.
 	FramesSent, FramesRecv int64
 	BytesSent, BytesRecv   int64

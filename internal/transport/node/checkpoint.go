@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"kmachine/internal/core"
@@ -10,10 +11,11 @@ import (
 
 // This file is the node runtime's checkpoint/recovery layer. It uses
 // core's cut and core's format (core/checkpoint.go): after every
-// cfg.Checkpoint.Every-th superstep's continue verdict each node
+// cfg.Checkpoint.Every-th superstep that settles to continue, each node
 // encodes its own section — RNG stream position, machine state via
 // core.Snapshotter, and the inbox the next superstep consumes — with
-// core.AppendSection, and the coordinator adds its accumulated Stats.
+// core.AppendSection, and node 0 adds its Stats record (every node
+// holds the same Stats).
 // An in-process assembler joins the k sections into one checkpoint
 // blob and hands it to the run's core.CheckpointSink, so the sink
 // holds exactly what core's own engine would have written for the
@@ -23,8 +25,9 @@ import (
 // rebuilds the machines from the deterministic inputs, and re-enters
 // with Checkpoint.Resume set. RunLocal and RunJobLocal then read the
 // sink's latest checkpoint once, before any node starts; every node
-// restores its section and the loop continues at the following
-// superstep, bit-identical to an unkilled run. With an empty sink the
+// restores its section and a private copy of the Stats, and the loop
+// continues at the following superstep, bit-identical to an unkilled
+// run. With an empty sink the
 // freshly built machines simply run from the start.
 //
 // The assembler is in-process shared memory: it serves RunLocal and
@@ -35,8 +38,8 @@ import (
 // CheckpointConfig is the checkpoint policy of a node run
 // (Config.Checkpoint). The zero value disables checkpointing.
 type CheckpointConfig struct {
-	// Every captures a checkpoint after every Every-th superstep's
-	// continue verdict; 0 disables. Requires the machine to implement
+	// Every captures a checkpoint after every Every-th superstep that
+	// settles to continue; 0 disables. Requires the machine to implement
 	// core.Snapshotter. The capture follows the exchange, so the
 	// captured inbox is what the next superstep reads.
 	Every int
@@ -67,7 +70,7 @@ type cutPlane struct {
 	at    int      // superstep of the cut being assembled
 	parts [][]byte // length-prefixed sections received for it
 	have  int
-	rec   []byte // the coordinator's Stats record for it
+	rec   []byte // node 0's Stats record for it
 	buf   []byte // blob scratch, reused (the sink copies)
 }
 
@@ -104,23 +107,32 @@ func openCheckpoints(cc CheckpointConfig, k int) (*cutPlane, error) {
 }
 
 // capture encodes this node's section of the cut after superstep step
-// — with the Stats record on the coordinator — and adds it to the
-// assembly.
-func capture[M any](p *cutPlane, step int, ctx *core.StepContext, snap core.Snapshotter, inbox []core.Envelope[M], codec wire.Codec[M], coord *coordinator) error {
+// — with the Stats record on node 0 — and adds it to the assembly.
+func capture[M any](p *cutPlane, step int, ctx *core.StepContext, snap core.Snapshotter, inbox []core.Envelope[M], codec wire.Codec[M], stats *core.Stats) error {
 	sec, err := core.AppendSection(nil, ctx, snap, inbox, codec)
 	if err != nil {
 		return err
 	}
 	var rec []byte
-	if coord != nil {
-		rec = core.AppendStats(nil, coord.stats)
+	if ctx.Self == 0 {
+		rec = core.AppendStats(nil, stats)
 	}
 	return p.put(step, int(ctx.Self), sec, rec)
 }
 
-// put adds machine id's section (and, from the coordinator, the Stats
-// record) to the cut after superstep step, and stores the blob once all
-// k sections are in. At most one cut is ever being assembled: a node
+// cloneStats returns a deep copy of s: a resumed node folds the
+// restored Stats forward on its own, so no two nodes may share one.
+func cloneStats(s *core.Stats) *core.Stats {
+	c := *s
+	c.RecvWords = slices.Clone(s.RecvWords)
+	c.SentWords = slices.Clone(s.SentWords)
+	c.PerSuperstep = slices.Clone(s.PerSuperstep)
+	return &c
+}
+
+// put adds machine id's section (and, from node 0, the Stats record)
+// to the cut after superstep step, and stores the blob once all k
+// sections are in. At most one cut is ever being assembled: a node
 // cannot finish the next superstep's exchange before every peer has
 // captured, because each peer captures before it sends anything for
 // that superstep.

@@ -1,8 +1,8 @@
 package node
 
 // White-box tests for the node runtime's checkpoint plane: per-node
-// sections of core's cut, captured at the coordinator's continue
-// verdict and assembled into one checkpoint blob in a
+// sections of core's cut, captured after each exchange that settles to
+// continue and assembled into one checkpoint blob in a
 // core.CheckpointSink, and the resume that restores every node from
 // the sink's latest blob before the first superstep. The property under
 // test is the same as everywhere in this repo: arming checkpoints

@@ -12,7 +12,9 @@ import (
 	"context"
 	"errors"
 	"os"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +47,22 @@ func (failCodec) Decode(src []byte) (failMsg, int, error) {
 // the test with a full goroutine dump — that is the hang this PR fixes.
 func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Duration, onVictimStep func(eps []*tcp.Endpoint[failMsg])) []error {
 	t.Helper()
+	_, errs := runNodes(t, k, timeout, func(eps []*tcp.Endpoint[failMsg], id core.MachineID) core.Machine[failMsg] {
+		return core.MachineFunc[failMsg](func(ctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
+			if int(ctx.Self) == victim && ctx.Superstep == failStep {
+				onVictimStep(eps)
+			}
+			return []core.Envelope[failMsg]{{To: core.MachineID((int(ctx.Self) + 1) % k), Words: 1}}, false
+		})
+	})
+	return errs
+}
+
+// runNodes runs k runLoops over a fresh loopback mesh, machine i built
+// by factory(eps, i), and returns every node's Stats and error once all
+// have exited.
+func runNodes(t *testing.T, k int, timeout time.Duration, factory func([]*tcp.Endpoint[failMsg], core.MachineID) core.Machine[failMsg]) ([]*core.Stats, []error) {
+	t.Helper()
 	eps, err := tcp.NewLoopbackMesh[failMsg](k, failCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,15 +73,7 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 		}
 	}()
 
-	factory := func(id core.MachineID) core.Machine[failMsg] {
-		return core.MachineFunc[failMsg](func(ctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
-			if int(ctx.Self) == victim && ctx.Superstep == failStep {
-				onVictimStep(eps)
-			}
-			return []core.Envelope[failMsg]{{To: core.MachineID((int(ctx.Self) + 1) % k), Words: 1}}, false
-		})
-	}
-
+	stats := make([]*core.Stats, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
@@ -75,7 +85,7 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 				errs[i] = verr
 				return
 			}
-			_, errs[i] = runLoop(cfg, eps[i], factory(core.MachineID(i)), nil, nil)
+			stats[i], errs[i] = runLoop(cfg, eps[i], factory(eps, core.MachineID(i)), nil, nil)
 			if errs[i] != nil {
 				eps[i].Close()
 			}
@@ -85,7 +95,64 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	testutil.WaitOrDump(t, done, 30*time.Second, "cluster")
-	return errs
+	return stats, errs
+}
+
+// TestEveryNodeDecidesAlone: with no coordinator, each node folds the k
+// frame reports into its own Stats and decides termination itself. So
+// every node of a clean run must return exactly core's Stats, and a Step
+// error on one machine must end every node with the one same error.
+func TestEveryNodeDecidesAlone(t *testing.T) {
+	const k = 4
+	// Uneven traffic for four supersteps, self-addressed envelopes
+	// included, then silence.
+	step := func(ctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
+		s, self := ctx.Superstep, int(ctx.Self)
+		if s >= 4 {
+			return nil, true
+		}
+		return []core.Envelope[failMsg]{
+			{To: core.MachineID((self + s + 1) % k), Words: int32(self + 3*s), Msg: failMsg{X: int64(s)}},
+			{To: ctx.Self, Words: 5},
+		}, s >= 2
+	}
+	want, err := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 7}, func(core.MachineID) core.Machine[failMsg] {
+		return core.MachineFunc[failMsg](step)
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, errs := runNodes(t, k, 10*time.Second, func([]*tcp.Endpoint[failMsg], core.MachineID) core.Machine[failMsg] {
+		return core.MachineFunc[failMsg](step)
+	})
+	for i := 0; i < k; i++ {
+		if errs[i] != nil {
+			t.Fatalf("node %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(stats[i], want) {
+			t.Errorf("node %d Stats differ from core's:\n node: %+v\n core: %+v", i, stats[i], want)
+		}
+	}
+	if stats[0] == stats[1] {
+		t.Error("nodes 0 and 1 share one Stats value")
+	}
+
+	_, errs = runNodes(t, k, 10*time.Second, func(_ []*tcp.Endpoint[failMsg], id core.MachineID) core.Machine[failMsg] {
+		return core.MachineFunc[failMsg](func(ctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
+			if id == 2 && ctx.Superstep == 1 {
+				panic("boom")
+			}
+			return step(ctx, inbox)
+		})
+	})
+	for i, err := range errs {
+		if err == nil || !strings.HasPrefix(err.Error(), "machine 2: ") || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("node %d returned %v, want machine 2's Step error", i, err)
+		}
+		if err.Error() != errs[0].Error() {
+			t.Errorf("node %d returned %q, node 0 %q", i, err, errs[0])
+		}
+	}
 }
 
 // assertSurvivorsAttribute checks that every machine except the victim
@@ -201,4 +268,25 @@ func TestCanceledContextAbortsNodeRun(t *testing.T) {
 		t.Fatal("cancellation did not stop the cluster")
 	}
 	testutil.NoLeakedGoroutines(t, base)
+}
+
+// TestSettleBlamesBadReport: a peer frame whose report is missing or
+// malformed must fail the superstep with a MachineError naming that
+// peer, never be folded into the Stats.
+func TestSettleBlamesBadReport(t *testing.T) {
+	const k, step = 3, 4
+	good := (&report{linkWords: make([]int64, k)}).appendEncode(nil, step)
+	for name, bad := range map[string][]byte{
+		"missing":         nil,
+		"truncated":       good[:2],
+		"other superstep": (&report{linkWords: make([]int64, k)}).appendEncode(nil, step+1),
+		"short row":       (&report{linkWords: make([]int64, k-1)}).appendEncode(nil, step),
+	} {
+		stats := &core.Stats{RecvWords: make([]int64, k), SentWords: make([]int64, k)}
+		_, err := settle(0, step, [][]byte{good, bad, good}, make([]report, k), core.NewLedger(k, 1, false), stats)
+		var me *transport.MachineError
+		if !errors.As(err, &me) || me.Machine != 1 || me.Superstep != step {
+			t.Errorf("%s report: got %v, want a MachineError naming machine 1 in superstep %d", name, err, step)
+		}
+	}
 }

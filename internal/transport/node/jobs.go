@@ -1,7 +1,6 @@
 package node
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -14,43 +13,14 @@ import (
 // build a mesh, execute one algorithm, and tear everything down, a
 // LocalMesh outlives jobs — RunJobLocal attaches fresh typed endpoints
 // to the standing fabric for each job, frames every data batch with the
-// job ID, brackets the superstep loop in a job-begin/job-end control
-// handshake, and detaches with the connections intact. Per-job
-// isolation falls out of the structure: each job gets fresh endpoints
-// (wire counters, scratch, inboxes), a fresh coordinator (Stats), and
-// whatever Recorder the caller put in its Config.
-
-// Job-lifecycle control frames, exchanged on the report/verdict plane
-// around each job's superstep loop. Values deliberately far from the
-// verdict kinds (0..2): a verdict misread as a lifecycle frame — or
-// vice versa, a straggler from a mis-sequenced previous job — fails
-// loudly instead of aliasing.
-const (
-	ctrlJobBegin = byte(0xB0)
-	ctrlJobEnd   = byte(0xB1)
-)
-
-func encodeJobCtrl(kind byte, job uint64) []byte {
-	return wire.AppendUvarint([]byte{kind}, job)
-}
-
-func decodeJobCtrl(buf []byte, wantKind byte, wantJob uint64) error {
-	if len(buf) < 1 || buf[0] != wantKind {
-		got := byte(0xFF)
-		if len(buf) > 0 {
-			got = buf[0]
-		}
-		return fmt.Errorf("node: expected job control frame 0x%02x, got 0x%02x", wantKind, got)
-	}
-	job, _, err := wire.Uvarint(buf[1:])
-	if err != nil {
-		return fmt.Errorf("node: corrupt job control frame: %w", err)
-	}
-	if job != wantJob {
-		return fmt.Errorf("node: job control frame for job %d, want job %d", job, wantJob)
-	}
-	return nil
-}
+// job ID, runs the ordinary superstep loop, and detaches with the
+// connections intact. No handshake brackets a job: the job header on
+// every data frame rejects a stray frame from another job, and the
+// final exchange, in which every node reads every peer's last frame,
+// leaves every connection drained before the detach. Per-job isolation
+// falls out of the structure: each job gets fresh endpoints (wire
+// counters, scratch, inboxes), fresh per-node Stats, and whatever
+// Recorder the caller put in its Config.
 
 // LocalMesh is the standing k-machine socket fabric of a resident
 // in-process cluster: k listeners on loopback, every ordered pair
@@ -114,11 +84,11 @@ func (lm *LocalMesh) Close() error {
 }
 
 // RunJobLocal executes one job on the standing mesh: typed endpoints
-// attach for job `job` (all data frames carry its ID), the coordinator
-// opens with a job-begin control frame, the ordinary superstep loop
-// runs to its stop verdict, and a job-end handshake certifies every
-// machine consumed every frame before the endpoints detach — which is
-// what makes the connections safe to hand to the next job's endpoints.
+// attach for job `job` (all data frames carry its ID), the ordinary
+// superstep loop runs until the reports say stop, and the endpoints
+// detach. Every node stops after reading every peer's final frame, so
+// the connections are quiescent and safe to hand to the next job's
+// endpoints.
 // cfg is a template exactly like RunLocal's: ID, ListenAddr, and Peers
 // are ignored; K must equal the mesh's. On any error the mesh is
 // poisoned (Healthy()==false) and must be rebuilt.
@@ -167,7 +137,7 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 			mcfg.ID = i
 			mcfg.ListenAddr, mcfg.Peers = "", nil
 			if err := mcfg.validate(); err == nil {
-				stats[i], errs[i] = runJobNode(mcfg, eps[i], machines[i], job, codec, ck)
+				stats[i], errs[i] = runLoop(mcfg, eps[i], machines[i], codec, ck)
 			} else {
 				errs[i] = err
 			}
@@ -182,84 +152,15 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// A failed job may leave some machines cleanly detached and
-			// others mid-teardown; poison the whole fabric so the owner
-			// rebuilds rather than running the next job on a half-dead
-			// mesh.
-			for _, e := range eps {
-				e.Close()
-			}
-			if errs[0] != nil {
-				return stats[0], errs[0]
-			}
-			return stats[0], err
-		}
-	}
-	return stats[0], nil
-}
-
-// runJobNode wraps one machine's superstep loop in the job-lifecycle
-// handshake. The begin frame proves the control plane is aligned on
-// this job before any data frame ships; the end frames prove every
-// machine consumed its stop verdict — i.e. every connection is
-// quiescent — before the caller detaches the endpoints.
-func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], ck *cutPlane) (*core.Stats, error) {
-	runCtx := cfg.Context
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
-	hctx, cancel := handshakeCtx(runCtx, cfg)
-	if cfg.ID == 0 {
-		if err := ep.Broadcast(hctx, encodeJobCtrl(ctrlJobBegin, job)); err != nil {
-			cancel()
-			return nil, fmt.Errorf("node: coordinator job %d begin: %w", job, err)
-		}
-	} else {
-		frame, err := ep.ReceiveVerdict(hctx)
-		if err == nil {
-			err = decodeJobCtrl(frame, ctrlJobBegin, job)
-		}
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("node: machine %d job %d begin: %w", cfg.ID, job, err)
-		}
-	}
-	cancel()
-
-	stats, err := runLoop(cfg, ep, m, codec, ck)
+	err = firstErr(errs)
 	if err != nil {
-		return stats, err
-	}
-
-	hctx, cancel = handshakeCtx(runCtx, cfg)
-	defer cancel()
-	if err := ep.SendToCoordinator(hctx, encodeJobCtrl(ctrlJobEnd, job)); err != nil {
-		return stats, fmt.Errorf("node: machine %d job %d end: %w", cfg.ID, job, err)
-	}
-	if cfg.ID == 0 {
-		// Step index is only diagnostic here; -1 marks the end-of-job
-		// collection round.
-		ends, err := ep.CollectReports(hctx, -1)
-		if err != nil {
-			return stats, fmt.Errorf("node: coordinator job %d end: %w", job, err)
-		}
-		for i, frame := range ends {
-			if err := decodeJobCtrl(frame, ctrlJobEnd, job); err != nil {
-				return stats, fmt.Errorf("node: coordinator job %d end from machine %d: %w", job, i, err)
-			}
+		// A failed job may leave some machines cleanly detached and
+		// others mid-teardown; poison the whole fabric so the owner
+		// rebuilds rather than running the next job on a half-dead
+		// mesh.
+		for _, e := range eps {
+			e.Close()
 		}
 	}
-	return stats, nil
-}
-
-// handshakeCtx bounds a job-lifecycle handshake the same way a
-// superstep is bounded: by cfg.SuperstepTimeout when set, otherwise
-// only by the run context.
-func handshakeCtx(runCtx context.Context, cfg Config) (context.Context, context.CancelFunc) {
-	if cfg.SuperstepTimeout > 0 {
-		return context.WithTimeout(runCtx, cfg.SuperstepTimeout)
-	}
-	return context.WithCancel(runCtx)
+	return stats[0], err
 }

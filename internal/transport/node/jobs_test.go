@@ -114,8 +114,8 @@ func TestRunJobLocalSeverAttributesJob(t *testing.T) {
 			t.Fatalf("MachineError carries job %d, want %d: %v", me.Job, jobID, err)
 		}
 	}
-	// The abort may also surface as the coordinator's verdict-style
-	// error; either way the mesh must be poisoned.
+	// The failure may also surface unattributed from a machine whose
+	// own sockets were severed; either way the mesh must be poisoned.
 	if lm.Healthy() {
 		t.Fatal("mesh still healthy after severed machine")
 	}

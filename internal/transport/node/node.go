@@ -2,19 +2,21 @@
 // machine of a cluster whose peers live in other processes, connected
 // by the tcp transport's socket mesh. cmd/kmnode is its CLI.
 //
-// Where core.Cluster steps all k machines in one process and barriers
-// with a sync.WaitGroup, this runtime distributes the loop itself: each
-// node steps its machine, exchanges one superstep's batched envelopes
-// with its peers over TCP, and then reports ⟨done, emitted, per-link
-// word counts⟩ to the coordinator (machine 0). The coordinator runs
-// exactly core's accounting arithmetic on the assembled link-load
-// matrix — max(1, ceil(max-link-words/B)) rounds per superstep — and
-// broadcasts a verdict: continue, stop (carrying the final Stats), or
-// abort. A run over this runtime therefore reports the same Rounds and
-// Words as the same machines under core.Cluster on the loopback
-// transport; the conversion results of Klauck et al. (arXiv:1311.6209)
-// are about precisely this substrate-independence, and the integration
-// tests assert it.
+// Where core.Cluster steps all k machines in one process, this runtime
+// distributes the loop itself, and no machine is special. Each node
+// steps its machine, charges its envelopes to its own row of the
+// link-load matrix (core.ChargeOuts), and exchanges one frame with
+// every peer. The frame's header carries the node's report: done,
+// sent, cross-machine messages, its per-link words, and the text of a
+// Step error if there was one. After the exchange every node holds the
+// same k reports, folds them into its own core.Ledger, and reaches the
+// same decision — continue, stop, or abort — with core's own
+// arithmetic, max(1, ceil(max-link-words/B)) rounds per superstep. A
+// run over this runtime therefore returns, on every node, the Stats
+// the same machines produce under core.Cluster. Klauck et al.
+// (arXiv:1311.6209) show why deciding locally is safe: the §1.1
+// accounting is a pure function of the per-link words, whichever
+// machine computes it. The integration tests assert the equality.
 package node
 
 import (
@@ -48,10 +50,9 @@ type Config struct {
 	Seed uint64
 	// MaxSupersteps aborts runaway algorithms; 0 means core's default.
 	MaxSupersteps int
-	// DropPerSuperstep disables Stats.PerSuperstep retention on the
-	// coordinator, exactly like core.Config.DropPerSuperstep; only the
-	// coordinator's value matters (the field travels inside the final
-	// stop verdict, so all nodes still return identical Stats).
+	// DropPerSuperstep disables Stats.PerSuperstep retention, exactly
+	// like core.Config.DropPerSuperstep. Every node folds its own
+	// Stats, so all k nodes must agree on it for their Stats to match.
 	DropPerSuperstep bool
 	// DialTimeout bounds mesh construction; 0 means tcp's default.
 	DialTimeout time.Duration
@@ -60,18 +61,17 @@ type Config struct {
 	// tears the node down promptly with a wrapped context error. nil
 	// means Background.
 	Context context.Context
-	// SuperstepTimeout bounds each superstep's cross-machine phases: the
-	// deadline covers the exchange and the report/verdict round after
-	// it. A peer process that crashes or wedges surfaces as a
-	// machine-attributed error within the timeout on every surviving
-	// node instead of hanging the cluster. 0 means no deadline.
-	// Happy-path Stats and outputs are unaffected.
+	// SuperstepTimeout bounds each superstep's exchange, the one
+	// cross-machine phase. A peer process that crashes or wedges
+	// surfaces as a machine-attributed error within the timeout on
+	// every surviving node instead of hanging the cluster. 0 means no
+	// deadline. Happy-path Stats and outputs are unaffected.
 	SuperstepTimeout time.Duration
 	// Recorder, when non-nil, receives wall-clock phase spans from this
-	// node's superstep loop — compute (the Step call), exchange (this
-	// node's data-plane barrier), and barrier (the report/verdict
-	// control round), all with Machine = ID — and is installed on the
-	// endpoint so its pipeline workers record per-peer frame spans too.
+	// node's superstep loop — compute (the Step call) and exchange
+	// (this node's exchange, reports included), both with Machine = ID
+	// — and is installed on the endpoint so its pipeline workers record
+	// per-peer frame spans too.
 	// Same contract as core.Config.Recorder: concurrency-safe,
 	// allocation-free, nil keeps the loop on its span-free path. In
 	// RunLocal all k machines share the one recorder, yielding a
@@ -98,10 +98,10 @@ func (cfg *Config) validate() error {
 }
 
 // Run executes one machine of the cluster: listen, dial the mesh, then
-// drive supersteps until the coordinator calls the computation
-// complete. The returned Stats are the full cluster statistics (the
-// coordinator computes them and ships them in the stop verdict), so
-// every node of a successful run returns identical Stats.
+// drive supersteps until the k reports say the computation is
+// complete. The returned Stats are the full cluster statistics, which
+// every node folds from the same reports, so every node of a
+// successful run returns identical Stats.
 func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -187,35 +187,39 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Prefer the coordinator's error: it aggregates the cluster
-			// view, and on an abort every node returns the same message.
-			if errs[0] != nil {
-				return stats[0], errs[0]
-			}
-			return stats[0], err
-		}
-	}
-	return stats[0], nil
+	return stats[0], firstErr(errs)
 }
 
-// runLoop is the distributed mirror of core.Cluster.RunOn: it observes
-// cfg.Context between phases and bounds every superstep's socket
-// operations with cfg.SuperstepTimeout, so a crashed or wedged peer
-// process surfaces as a machine-attributed error within the timeout on
-// this node rather than wedging it forever. ck is the in-process
-// checkpoint plane, nil when checkpointing is off.
+// firstErr returns the lowest-numbered machine's error. On an abort
+// every node returns the same one.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runLoop is the distributed mirror of core.Cluster.RunOn: step,
+// charge, exchange the envelopes with the report riding in the frame
+// header, then settle. It observes cfg.Context between supersteps and
+// bounds every exchange with cfg.SuperstepTimeout, so a crashed or
+// wedged peer process surfaces as a machine-attributed error within
+// the timeout on this node rather than wedging it forever. A node whose
+// Step failed still exchanges — an empty batch, the error text in its
+// report — so every node learns of it in the same superstep and returns
+// the same error. ck is the in-process checkpoint plane, nil when
+// checkpointing is off.
 func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M], ck *cutPlane) (*core.Stats, error) {
 	runCtx := cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
 	ctx := &core.StepContext{Self: core.MachineID(cfg.ID), K: cfg.K, RNG: rng.NewStream(cfg.Seed, uint64(cfg.ID))}
-	var coord *coordinator
-	if cfg.ID == 0 {
-		coord = newCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
-	}
+	stats := &core.Stats{RecvWords: make([]int64, cfg.K), SentWords: make([]int64, cfg.K)}
+	// Every return carries finalized Stats, like core's.
+	defer func() { stats.Finalize() }()
 	var inbox []core.Envelope[M]
 	var snap core.Snapshotter
 	start := 0
@@ -232,27 +236,26 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			if inbox, err = core.RestoreSection(ck.sections[cfg.ID], ctx, snap, codec); err != nil {
 				return nil, fmt.Errorf("node: machine %d resume from superstep %d: %w", cfg.ID, ck.resumeAt, err)
 			}
-			if coord != nil {
-				coord.stats = ck.stats
-			}
+			stats = cloneStats(ck.stats)
 			start = ck.resumeAt + 1
 		}
 	}
-	row := core.NewLinkRow(cfg.K) // this node's link loads, reused
-	var repBuf []byte             // report encode scratch, reused
+	ledger := core.NewLedger(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
+	row := &ledger.Rows[cfg.ID] // this node's own link loads
+	reports := make([]report, cfg.K)
+	var repBuf []byte // report encode scratch, reused
 	for step := start; ; step++ {
 		if step >= cfg.MaxSupersteps {
 			// Every node shares MaxSupersteps and steps in lockstep, so
-			// all abort on the same superstep; only the coordinator has
-			// the (partial) statistics.
-			return coordStats(coord), core.ErrMaxSupersteps
+			// all abort on the same superstep.
+			return stats, core.ErrMaxSupersteps
 		}
 		if err := runCtx.Err(); err != nil {
 			// Tear our endpoint down before leaving: peers parked on
 			// our connections unblock immediately instead of waiting
 			// out their own deadlines.
 			ep.Close()
-			return coordStats(coord), fmt.Errorf("node: machine %d canceled before superstep %d: %w", cfg.ID, step, err)
+			return stats, fmt.Errorf("node: machine %d canceled before superstep %d: %w", cfg.ID, step, err)
 		}
 
 		ctx.Superstep = step
@@ -267,25 +270,32 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		}
 		// Validation and the per-link charge are core's own, so the
 		// report carries exactly the row core's engine would account.
-		rep := report{done: done, linkWords: row.Words}
+		rep := &reports[cfg.ID]
+		*rep = report{done: done, linkWords: row.Words}
 		if stepErr == nil {
-			rep.messages, rep.emitted, stepErr = core.ChargeOuts(&row, ctx.Self, out)
+			rep.messages, rep.emitted, stepErr = core.ChargeOuts(row, ctx.Self, out)
 		}
 		if stepErr != nil {
 			rep.err = stepErr.Error()
-			out = nil // still participate in the exchange so peers don't hang
+			out = nil // still take part in the exchange so peers don't hang
 		}
 		repBuf = rep.appendEncode(repBuf[:0], step)
-		row.Reset()
 
-		// The superstep context, and its deadline, cover the exchange
-		// and the report/verdict round.
 		sctx := runCtx
 		var cancel context.CancelFunc
 		if cfg.SuperstepTimeout > 0 {
 			sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
 		}
-		v, next, err := superstepRound(cfg, ep, coord, sctx, step, repBuf, out)
+		if cfg.Recorder != nil {
+			t0 = obs.Now()
+		}
+		next, hdrs, err := ep.Exchange(sctx, step, repBuf, out)
+		if cfg.Recorder != nil {
+			// Per node, not the cluster's -1: each node performs its own
+			// exchange.
+			cfg.Recorder.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
+				Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
+		}
 		if cancel != nil {
 			cancel()
 		}
@@ -297,144 +307,70 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			if cErr := runCtx.Err(); cErr != nil {
 				err = fmt.Errorf("node: machine %d canceled in superstep %d: %w (teardown: %v)", cfg.ID, step, cErr, err)
 			}
-			return coordStats(coord), err
+			return stats, err
 		}
-		switch v.kind {
-		case verdictContinue:
-			inbox = next
-			if ck != nil && (step+1)%ck.every == 0 {
-				// core's cut: the coordinator's Stats already include
-				// this superstep, the RNG sits at its post-compute
-				// position, and inbox holds exactly the messages
-				// superstep step+1 consumes.
-				if err := capture(ck, step, ctx, snap, inbox, codec, coord); err != nil {
-					ep.Close()
-					return coordStats(coord), fmt.Errorf("node: machine %d checkpoint at superstep %d: %w", cfg.ID, step, err)
-				}
+		if stop, err := settle(cfg.ID, step, hdrs, reports, ledger, stats); stop || err != nil {
+			return stats, err
+		}
+		inbox = next
+		if ck != nil && (step+1)%ck.every == 0 {
+			// core's cut: the Stats already include this superstep, the
+			// RNG sits at its post-compute position, and inbox holds
+			// exactly the messages superstep step+1 consumes.
+			if err := capture(ck, step, ctx, snap, inbox, codec, stats); err != nil {
+				ep.Close()
+				return stats, fmt.Errorf("node: machine %d checkpoint at superstep %d: %w", cfg.ID, step, err)
 			}
-		case verdictStop:
-			return v.stats, nil
-		case verdictAbort:
-			return coordStats(coord), errors.New(v.errMsg)
 		}
 	}
 }
 
-// superstepRound runs the cross-machine phases of one superstep
-// — exchange, report, verdict — under its superstep context. The
-// failure protocol: a node whose Step failed still exchanges (an empty
-// batch) and carries the error in its report, so the coordinator learns
-// of it and broadcasts an abort verdict that every surviving machine
-// returns as the same error; a node that dies outright is detected by
-// its peers' bounded reads (exchange) or the coordinator's bounded
-// CollectReports, and the coordinator then broadcasts the abort best
-// effort over whatever control connections remain before failing
-// itself. Transport-level failures arrive as *transport.MachineError
-// with machine/superstep attribution from the tcp layer.
-//
-// repPayload is the node's encoded report; it is recycled scratch owned
-// by runLoop, which is safe because the endpoint either writes it out
-// immediately or (on the coordinator) queues it only until the
-// CollectReports of this same superstep pops it.
-func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, sctx context.Context, step int, repPayload []byte, out []core.Envelope[M]) (verdict, []core.Envelope[M], error) {
-	// Phase spans mirror core's engine, but per node: the exchange span
-	// is this node's data-plane barrier (Machine = ID, not the cluster's
-	// -1 — each node performs its own), and the report/verdict control
-	// round below plays the role of core's barrier wait, so it records
-	// as PhaseBarrier.
-	rec := cfg.Recorder
-	var t0 int64
-	if rec != nil {
-		t0 = obs.Now()
-	}
-	next, err := ep.Exchange(sctx, step, out)
-	if rec != nil {
-		rec.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
-			Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
-	}
-	if err != nil {
-		return verdict{}, nil, err
-	}
-	var b0 int64
-	if rec != nil {
-		b0 = obs.Now()
-		defer func() {
-			rec.Record(obs.Span{Start: b0, Dur: obs.Now() - b0,
-				Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseBarrier})
-		}()
-	}
-	if err := ep.SendToCoordinator(sctx, repPayload); err != nil {
-		return verdict{}, nil, fmt.Errorf("node: machine %d report (superstep %d): %w", cfg.ID, step, err)
-	}
-
-	var verdictPayload []byte
-	if coord != nil {
-		reports, err := ep.CollectReports(sctx, step)
-		if err != nil {
-			// A report that never arrived means a peer died between the
-			// exchange and its report. Propagate the abort to the
-			// survivors — best effort, over whatever control
-			// connections still work — so they return an attributed
-			// error instead of waiting out their own deadlines.
-			abortBroadcast(ep, sctx, err)
-			return verdict{}, nil, err
+// settle decodes the peers' reports of superstep step from the frame
+// headers and folds all k into the ledger; this node's own report and
+// row are already in place. Every node holds the same k reports, so
+// every node reaches the same result: an error naming the
+// lowest-numbered machine whose Step failed, stop once the cluster is
+// quiescent, or continue with the superstep charged exactly as core's
+// engine charges it. A missing or malformed report is a
+// *transport.MachineError naming its sender.
+func settle(id, step int, hdrs [][]byte, reports []report, ledger *core.Ledger, stats *core.Stats) (stop bool, err error) {
+	k := len(reports)
+	for j, h := range hdrs {
+		if j == id {
+			continue
 		}
-		verdictPayload, err = coord.process(step, reports)
-		if err != nil {
-			abortBroadcast(ep, sctx, err)
-			return verdict{}, nil, err
+		rep := &reports[j]
+		if h == nil {
+			err = errors.New("frame carries no report")
+		} else if err = decodeReportInto(rep, h, step); err == nil && len(rep.linkWords) != k {
+			err = fmt.Errorf("report has %d links, want %d", len(rep.linkWords), k)
 		}
-		if err := ep.Broadcast(sctx, verdictPayload); err != nil {
-			return verdict{}, nil, err
-		}
-	} else {
-		var err error
-		verdictPayload, err = ep.ReceiveVerdict(sctx)
 		if err != nil {
-			// No verdict within the deadline: the coordinator (or the
-			// path to it) is gone. Attribute the wait to machine 0 —
-			// unless the tcp layer already attributed a more specific
-			// culprit.
-			var me *transport.MachineError
-			if !errors.As(err, &me) {
-				err = &transport.MachineError{Machine: 0, Superstep: step,
-					Err: fmt.Errorf("node: machine %d verdict wait: %w", cfg.ID, err)}
+			return false, &transport.MachineError{Machine: transport.MachineID(j), Superstep: step,
+				Err: fmt.Errorf("node: machine %d report from %d: %w", id, j, err)}
+		}
+	}
+	var messages int64
+	allDone, sent := true, false
+	for j := range reports {
+		rep := &reports[j]
+		if rep.err != "" {
+			return false, fmt.Errorf("machine %d: %s", j, rep.err)
+		}
+		allDone = allDone && rep.done
+		sent = sent || rep.emitted
+		messages += rep.messages
+		if j != id {
+			for to, w := range rep.linkWords {
+				ledger.Rows[j].Add(to, w)
 			}
-			return verdict{}, nil, err
 		}
 	}
-
-	v, err := decodeVerdict(verdictPayload)
-	if err != nil {
-		return verdict{}, nil, err
-	}
-	return v, next, nil
+	return ledger.Settle(stats, messages, allDone, sent), nil
 }
 
-// abortBroadcast ships an abort verdict to every peer, best effort.
-// The coordinator reaches here precisely when the superstep context has
-// failed (an expired deadline is the common case), so the writes run
-// under a fresh short deadline — reusing the dead context would make
-// every abort write fail instantly and leave the survivors to time out
-// blaming the coordinator instead of the real culprit.
-func abortBroadcast[M any](ep *tcp.Endpoint[M], sctx context.Context, cause error) {
-	actx, cancel := context.WithTimeout(context.WithoutCancel(sctx), 2*time.Second)
-	defer cancel()
-	_ = ep.Broadcast(actx, encodeAbort(cause.Error()))
-}
-
-// coordStats returns the coordinator's (possibly partial) statistics
-// for error returns, finalized like core's so MaxRecvWords is
-// consistent on every path.
-func coordStats(c *coordinator) *core.Stats {
-	if c == nil {
-		return nil
-	}
-	c.stats.Finalize()
-	return c.stats
-}
-
-// report is one node's per-superstep account to the coordinator.
+// report is one node's per-superstep account, carried in the header of
+// every data frame it sends.
 type report struct {
 	done      bool
 	emitted   bool
@@ -477,7 +413,7 @@ func (r *report) appendEncode(dst []byte, step int) []byte {
 }
 
 // decodeReportInto decodes a report into rep, reusing rep.linkWords
-// when it has the capacity — the coordinator decodes k reports per
+// when it has the capacity — every node decodes k-1 reports per
 // superstep into the same recycled structs.
 func decodeReportInto(rep *report, buf []byte, wantStep int) error {
 	if len(buf) < 1 {
@@ -513,114 +449,4 @@ func decodeReportInto(rep *report, buf []byte, wantStep int) error {
 		rep.err = string(buf[c.Off:])
 	}
 	return nil
-}
-
-// coordinator aggregates reports into core-identical Stats through
-// core's own Ledger, reused across supersteps like core's engine.
-type coordinator struct {
-	k       int
-	stats   *core.Stats
-	ledger  *core.Ledger
-	reports []*report
-}
-
-func newCoordinator(k, bandwidth int, dropPerSuperstep bool) *coordinator {
-	c := &coordinator{
-		k: k,
-		stats: &core.Stats{
-			RecvWords: make([]int64, k),
-			SentWords: make([]int64, k),
-		},
-		ledger:  core.NewLedger(k, bandwidth, dropPerSuperstep),
-		reports: make([]*report, k),
-	}
-	for i := range c.reports {
-		c.reports[i] = &report{linkWords: make([]int64, 0, k)}
-	}
-	return c
-}
-
-// process charges one superstep's reports and returns the verdict to
-// broadcast.
-func (c *coordinator) process(step int, payloads [][]byte) ([]byte, error) {
-	reports := c.reports
-	for i, p := range payloads {
-		rep := reports[i]
-		if err := decodeReportInto(rep, p, step); err != nil {
-			return nil, fmt.Errorf("node: coordinator report from %d: %w", i, err)
-		}
-		if len(rep.linkWords) != c.k {
-			return nil, fmt.Errorf("node: report from %d has %d links, want %d", i, len(rep.linkWords), c.k)
-		}
-	}
-	for i, rep := range reports {
-		if rep.err != "" {
-			return encodeAbort(fmt.Sprintf("machine %d: %s", i, rep.err)), nil
-		}
-	}
-
-	// Each report is its node's row of the link-load matrix; the ledger
-	// is the one core.RunOn charges, which is what makes the two
-	// runtimes' Stats bit-identical by construction.
-	var messages int64
-	allDone, pending := true, false
-	for i, rep := range reports {
-		allDone = allDone && rep.done
-		pending = pending || rep.emitted
-		for j, w := range rep.linkWords {
-			c.ledger.Rows[i].Add(j, w)
-		}
-		messages += rep.messages
-	}
-	if allDone && !pending {
-		// Quiescent: like core, the final silent superstep is free.
-		c.stats.Finalize()
-		return encodeStop(c.stats), nil
-	}
-	c.ledger.Charge(c.stats, messages)
-	return []byte{verdictContinue}, nil
-}
-
-// Verdict kinds (first payload byte).
-const (
-	verdictContinue = byte(iota)
-	verdictStop
-	verdictAbort
-)
-
-type verdict struct {
-	kind   byte
-	stats  *core.Stats
-	errMsg string
-}
-
-// encodeStop is the stop verdict: the final Stats in core's varint
-// record (core.AppendStats), the codec checkpoints use.
-func encodeStop(stats *core.Stats) []byte {
-	return core.AppendStats([]byte{verdictStop}, stats)
-}
-
-func encodeAbort(msg string) []byte {
-	return append([]byte{verdictAbort}, msg...)
-}
-
-func decodeVerdict(buf []byte) (verdict, error) {
-	if len(buf) < 1 {
-		return verdict{}, fmt.Errorf("node: empty verdict")
-	}
-	v := verdict{kind: buf[0]}
-	switch v.kind {
-	case verdictContinue:
-	case verdictStop:
-		c := wire.Cursor{Src: buf, Off: 1}
-		v.stats = core.DecodeStats(&c)
-		if err := c.Finish(); err != nil {
-			return verdict{}, fmt.Errorf("node: decode final stats: %w", err)
-		}
-	case verdictAbort:
-		v.errMsg = string(buf[1:])
-	default:
-		return verdict{}, fmt.Errorf("node: unknown verdict kind %d", v.kind)
-	}
-	return v, nil
 }

@@ -11,11 +11,15 @@ package tcp
 // (supersteps × k × peers ≈ thousands of extra allocations).
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"kmachine/internal/obs"
 	"kmachine/internal/transport"
+	"kmachine/internal/transport/wire"
 )
 
 func TestSteadyStateExchangeAllocBudget(t *testing.T) {
@@ -80,5 +84,69 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	}
 	if c := trace.Counters(); c.FramesSent == 0 || c.FramesRecv == 0 {
 		t.Fatalf("recorder saw no frames (sent=%d recv=%d) — the instrumented path did not run", c.FramesSent, c.FramesRecv)
+	}
+
+	// Same fence on bare endpoints whose every frame carries a k-word
+	// header, the shape of the node runtime's per-superstep report: one
+	// persistent goroutine per endpoint, as each node drives its own.
+	eps, err := NewLoopbackMesh[testMsg](k, testCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, e := range eps {
+			e.Close()
+		}
+	}()
+	hdrs := make([][]byte, k)
+	for i := range hdrs {
+		for j := 0; j < k; j++ {
+			hdrs[i] = wire.AppendUvarint(hdrs[i], uint64(1000*i+j))
+		}
+	}
+	signal := make([]chan int, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := range eps {
+		signal[i] = make(chan int, 1)
+		go func(i int) {
+			for step := range signal[i] {
+				_, got, err := eps[i].Exchange(context.Background(), step, hdrs[i], outs[i])
+				for j := 0; err == nil && j < k; j++ {
+					if !bytes.Equal(got[j], hdrs[j]) {
+						err = fmt.Errorf("machine %d: header from %d = % x, want % x", i, j, got[j], hdrs[j])
+					}
+				}
+				if err != nil && errs[i] == nil {
+					errs[i] = err
+				}
+				wg.Done()
+			}
+		}(i)
+	}
+	defer func() {
+		for _, ch := range signal {
+			close(ch)
+		}
+	}()
+	runEndpoints := func() {
+		for s := 0; s < supersteps; s++ {
+			wg.Add(k)
+			for _, ch := range signal {
+				ch <- step
+			}
+			wg.Wait()
+			step++
+		}
+	}
+	runEndpoints()
+	headed := testing.AllocsPerRun(3, runEndpoints)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+	}
+	if headed > budget {
+		t.Errorf("endpoint exchange with k-word headers allocated %.0f times over %d supersteps, budget %.0f — carrying headers must not allocate", headed, supersteps, budget)
 	}
 }

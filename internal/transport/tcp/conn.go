@@ -19,7 +19,7 @@ func newDataConn(c net.Conn) *dataConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		// Batches are written once per superstep and flushed whole;
 		// Nagle only adds latency to the small ones (empty batches,
-		// control reports and verdicts).
+		// blame frames).
 		tc.SetNoDelay(true)
 	}
 	return &dataConn{

@@ -11,9 +11,8 @@ import (
 )
 
 // Mesh is one machine's standing socket fabric: its listener, the k-1
-// dialed data connections, the k-1 accepted data connections, and the
-// control connection to the coordinator (or, on the coordinator, from
-// every peer). It is deliberately NOT generic in the message type —
+// dialed data connections and the k-1 accepted ones — 2(k-1) sockets,
+// nothing else. It is deliberately NOT generic in the message type —
 // connections and their buffered readers/writers carry bytes, not
 // envelopes — which is what lets a resident daemon keep one mesh alive
 // while typed Endpoints of different algorithms attach to it job after
@@ -32,9 +31,6 @@ type Mesh struct {
 
 	out []*dataConn // out[j]: dialed conn for writing to peer j
 	in  []*dataConn // in[j]: accepted conn for reading from peer j
-
-	ctrl   *dataConn   // id>0: connection to the coordinator
-	ctrlIn []*dataConn // id==0: ctrlIn[j] accepted from peer j
 
 	mu        sync.Mutex
 	connected bool
@@ -82,9 +78,8 @@ func (m *Mesh) Healthy() bool {
 }
 
 // Connect completes the mesh: it dials a data connection to every peer
-// in peers (indexed by machine ID; peers[m.id] is ignored) plus a
-// control connection to peer 0, while accepting the mirror-image
-// connections on its own listener. Dials are retried until timeout so
+// in peers (indexed by machine ID; peers[m.id] is ignored) while
+// accepting the mirror-image connections on its own listener. Dials are retried until timeout so
 // nodes may start in any order.
 func (m *Mesh) Connect(peers []string, timeout time.Duration) error {
 	if len(peers) != m.k {
@@ -94,12 +89,6 @@ func (m *Mesh) Connect(peers []string, timeout time.Duration) error {
 		timeout = DefaultDialTimeout
 	}
 	deadline := time.Now().Add(timeout)
-
-	wantAccept := m.k - 1 // data conns from every peer
-	if m.id == 0 {
-		m.ctrlIn = make([]*dataConn, m.k)
-		wantAccept += m.k - 1 // plus every peer's control conn
-	}
 
 	var wg sync.WaitGroup
 	var dialErr, acceptErr error
@@ -112,7 +101,7 @@ func (m *Mesh) Connect(peers []string, timeout time.Duration) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		acceptErr = m.acceptAll(wantAccept, deadline)
+		acceptErr = m.acceptAll(m.k-1, deadline)
 	}()
 	wg.Wait()
 
@@ -130,7 +119,7 @@ func (m *Mesh) Connect(peers []string, timeout time.Duration) error {
 }
 
 func (m *Mesh) dialAll(peers []string, deadline time.Time) error {
-	dial := func(addr string, kind byte) (*dataConn, error) {
+	dial := func(addr string) (*dataConn, error) {
 		var lastErr error
 		for time.Now().Before(deadline) {
 			c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
@@ -140,7 +129,7 @@ func (m *Mesh) dialAll(peers []string, deadline time.Time) error {
 				continue
 			}
 			dc := newDataConn(c)
-			hello := []byte{kind}
+			hello := []byte{helloData}
 			hello = wire.AppendUvarint(hello, uint64(m.id))
 			if err := wire.WriteFrame(dc.w, hello); err != nil {
 				c.Close()
@@ -158,18 +147,11 @@ func (m *Mesh) dialAll(peers []string, deadline time.Time) error {
 		if j == m.id {
 			continue
 		}
-		dc, err := dial(peers[j], helloData)
+		dc, err := dial(peers[j])
 		if err != nil {
 			return err
 		}
 		m.out[j] = dc
-	}
-	if m.id != 0 {
-		dc, err := dial(peers[0], helloCtrl)
-		if err != nil {
-			return err
-		}
-		m.ctrl = dc
 	}
 	return nil
 }
@@ -202,27 +184,15 @@ func (m *Mesh) acceptAll(want int, deadline time.Time) error {
 			c.Close()
 			return fmt.Errorf("tcp: machine %d hello from invalid peer %d", m.id, from)
 		}
-		switch hello[0] {
-		case helloData:
-			if m.in[from] != nil {
-				c.Close()
-				return fmt.Errorf("tcp: machine %d got duplicate data conn from %d", m.id, from)
-			}
-			m.in[from] = dc
-		case helloCtrl:
-			if m.id != 0 {
-				c.Close()
-				return fmt.Errorf("tcp: machine %d (not coordinator) got control conn from %d", m.id, from)
-			}
-			if m.ctrlIn[from] != nil {
-				c.Close()
-				return fmt.Errorf("tcp: coordinator got duplicate control conn from %d", from)
-			}
-			m.ctrlIn[from] = dc
-		default:
+		if hello[0] != helloData {
 			c.Close()
 			return fmt.Errorf("tcp: machine %d unknown hello kind %d", m.id, hello[0])
 		}
+		if m.in[from] != nil {
+			c.Close()
+			return fmt.Errorf("tcp: machine %d got duplicate data conn from %d", m.id, from)
+		}
+		m.in[from] = dc
 	}
 	return nil
 }
@@ -250,14 +220,6 @@ func (m *Mesh) Close() error {
 			}
 		}
 		for _, dc := range m.in {
-			if dc != nil {
-				record(dc.c.Close())
-			}
-		}
-		if m.ctrl != nil {
-			record(m.ctrl.c.Close())
-		}
-		for _, dc := range m.ctrlIn {
 			if dc != nil {
 				record(dc.c.Close())
 			}

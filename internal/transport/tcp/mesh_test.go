@@ -1,8 +1,10 @@
 package tcp
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,28 +15,37 @@ import (
 )
 
 // jobExchange runs one lockstep superstep concurrently on every
-// endpoint (the per-machine halves of one mesh), returning the per-
-// machine inboxes and errors.
-func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope[testMsg]) ([][]transport.Envelope[testMsg], []error) {
+// endpoint (the per-machine halves of one mesh), machine i shipping
+// header hdrs[i] (hdrs may be nil: no headers), and returns the
+// per-machine inboxes, received headers and errors.
+func jobExchange(eps []*Endpoint[testMsg], step int, hdrs [][]byte, outs [][]transport.Envelope[testMsg]) ([][]transport.Envelope[testMsg], [][][]byte, []error) {
 	k := len(eps)
 	inboxes := make([][]transport.Envelope[testMsg], k)
+	got := make([][][]byte, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
+		var hdr []byte
+		if hdrs != nil {
+			hdr = hdrs[i]
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			inboxes[i], errs[i] = eps[i].Exchange(context.Background(), step, outs[i])
+			inboxes[i], got[i], errs[i] = eps[i].Exchange(context.Background(), step, hdr, outs[i])
 		}(i)
 	}
 	wg.Wait()
-	return inboxes, errs
+	return inboxes, got, errs
 }
 
 // TestMeshReuseAcrossJobs is the standing-fabric contract: one socket
 // mesh, several sequential jobs, each with its own attached endpoints —
 // every job's traffic arrives intact, Detach leaves the mesh healthy,
-// and no pipeline goroutine leaks across jobs.
+// and no pipeline goroutine leaks across jobs. It also pins header
+// carriage: on odd supersteps every machine ships a header, and each
+// endpoint returns the k headers in sender order with its own at self;
+// on even supersteps the frames are bare and every header is nil.
 func TestMeshReuseAcrossJobs(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const k = 3
@@ -67,10 +78,28 @@ func TestMeshReuseAcrossJobs(t *testing.T) {
 					})
 				}
 			}
-			inboxes, errs := jobExchange(eps, step, outs)
+			var hdrs [][]byte
+			if step%2 == 1 {
+				hdrs = make([][]byte, k)
+				for i := range hdrs {
+					hdrs[i] = []byte(fmt.Sprintf("job %d superstep %d from %d", job, step, i))
+				}
+			}
+			inboxes, got, errs := jobExchange(eps, step, hdrs, outs)
 			for i := 0; i < k; i++ {
 				if errs[i] != nil {
 					t.Fatalf("job %d superstep %d machine %d: %v", job, step, i, errs[i])
+				}
+				for j, h := range got[i] {
+					switch {
+					case hdrs == nil && h != nil:
+						t.Fatalf("job %d superstep %d machine %d: bare frame from %d returned header %q", job, step, i, j, h)
+					case hdrs != nil && !bytes.Equal(h, hdrs[j]):
+						t.Fatalf("job %d superstep %d machine %d: header %d = %q, want %q", job, step, i, j, h, hdrs[j])
+					}
+				}
+				if hdrs != nil && &got[i][i][0] != &hdrs[i][0] {
+					t.Fatalf("job %d superstep %d machine %d: own header is not the caller's slice", job, step, i)
 				}
 				if len(inboxes[i]) != k {
 					t.Fatalf("job %d superstep %d machine %d: %d envelopes, want %d", job, step, i, len(inboxes[i]), k)
@@ -118,7 +147,7 @@ func TestAttachJobMismatchDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errs := jobExchange([]*Endpoint[testMsg]{e0, e1}, 0, make([][]transport.Envelope[testMsg], k))
+	_, _, errs := jobExchange([]*Endpoint[testMsg]{e0, e1}, 0, nil, make([][]transport.Envelope[testMsg], k))
 	var sawMismatch bool
 	for i, err := range errs {
 		if err == nil {

@@ -46,8 +46,8 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 	if _, err := tr.Exchange(context.Background(), 0, outs); err != nil {
 		t.Fatal(err)
 	}
-	// Population after the first superstep: transport drivers + data
-	// workers + coordinator control readers, all persistent.
+	// Population after the first superstep: transport drivers and
+	// pipeline workers, all persistent.
 	settled := runtime.NumGoroutine()
 	for step := 1; step <= 50; step++ {
 		if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
@@ -196,7 +196,7 @@ func TestMixedWireVersionMesh(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i], errs[i] = eps[i].Exchange(context.Background(), step, outsT[i])
+				got[i], _, errs[i] = eps[i].Exchange(context.Background(), step, nil, outsT[i])
 			}(i)
 		}
 		wg.Wait()
@@ -230,20 +230,15 @@ func TestNewWithVersionRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestControlOpsBeforeConnectFailFast mirrors the dispatch guard on the
-// coordinator's control path: CollectReports on an unconnected endpoint
-// must error, not panic into nil worker channels.
+// TestControlOpsBeforeConnectFailFast: an exchange on an unconnected
+// endpoint must error, not panic into nil worker channels.
 func TestControlOpsBeforeConnectFailFast(t *testing.T) {
 	ep, err := Listen[testMsg](0, 3, "127.0.0.1:0", testCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	ep.ownQueue = append(ep.ownQueue, []byte("r"))
-	if _, err := ep.CollectReports(context.Background(), 0); err == nil {
-		t.Error("CollectReports before Connect succeeded")
-	}
-	if _, err := ep.Exchange(context.Background(), 0, nil); err == nil {
+	if _, _, err := ep.Exchange(context.Background(), 0, nil, nil); err == nil {
 		t.Error("superstep before Connect succeeded")
 	}
 }

@@ -19,11 +19,14 @@
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
 //
-// Machine 0 additionally acts as the coordinator: every other machine
-// holds a control connection to it, used only by the report/verdict
-// protocol of the standalone runtime (transport/node). The
-// coordinator's per-peer report reads are driven by the same
-// persistent-worker machinery.
+// A data frame may carry a header section ahead of its batch
+// (wire.AppendReport): Exchange takes the caller's header bytes, ships
+// them on every frame of the superstep, and hands back the k headers it
+// received in sender order. The package never interprets them; the
+// standalone runtime (transport/node) uses them to carry each machine's
+// per-superstep report, so no connection beyond the k·(k-1) data links
+// exists. The cluster Transport passes none, and its frames carry no
+// section.
 //
 // The package knows nothing about rounds or words: cost accounting
 // stays in core, which is what keeps Stats bit-identical between this
@@ -49,12 +52,9 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
-// Connection-type byte carried in the HELLO frame that opens every
-// dialed connection.
-const (
-	helloData = byte(iota)
-	helloCtrl
-)
+// helloData is the connection-type byte carried in the HELLO frame
+// that opens every dialed connection.
+const helloData = byte(0)
 
 // DefaultDialTimeout bounds mesh construction: peers of a standalone
 // node may start seconds apart.
@@ -108,21 +108,16 @@ type Endpoint[M any] struct {
 	jobID  uint64
 	jobbed bool
 
-	ownQueue [][]byte // id==0: coordinator's loopback report queue
-
 	// Pipeline worker state, created once per endpoint lifetime. The
 	// channels carry at most one job (Exchange is a barrier, so a
 	// second superstep cannot be signalled before the first drains);
-	// workWG counts in-flight data jobs and ctrlWG in-flight coordinator report
-	// reads. Worker failures land in the cause/shrapnel pairs below —
-	// all hoisted out of the per-call path, so a steady-state superstep
-	// allocates nothing.
+	// workWG counts in-flight jobs. Worker failures land in the
+	// cause/shrapnel pair below — all hoisted out of the per-call path,
+	// so a steady-state superstep allocates nothing.
 	started  bool
 	writerCh []chan pipeJob
 	readerCh []chan pipeJob
-	ctrlCh   []chan pipeJob // id==0 only
 	workWG   sync.WaitGroup
-	ctrlWG   sync.WaitGroup
 
 	// Worker error state, reset per superstep and guarded by mu. The
 	// FIRST-ARRIVING genuine error wins (cause), because causality on a
@@ -132,23 +127,23 @@ type Endpoint[M any] struct {
 	// EOF happened to sit in an earlier slot. net.ErrClosed failures —
 	// shrapnel of our own cascade close — are kept apart and reported
 	// only when no genuine cause surfaced.
-	cause, shrapnel         error // data path (supersteps)
-	ctrlCause, ctrlShrapnel error // control path (CollectReports)
+	cause, shrapnel error
 
 	// Per-superstep scratch, recycled across calls (the transport
 	// ownership rule). perDest/tx/frame/rx are dead once Exchange
 	// returns and are single-buffered; the assembled inbox is handed to
 	// the caller and double-buffered so the previous superstep's
-	// envelopes survive while the next one is built. reports/ctrlFrame
-	// and verdictBuf are the control-plane equivalents: the payloads
-	// returned by CollectReports and ReceiveVerdict stay valid until the
-	// next call of the same method.
+	// envelopes survive while the next one is built. hdr is the caller's
+	// header for the superstep in flight; hdrs, the headers received,
+	// alias the frame buffers and stay valid until the next Exchange.
 	perDest [][]transport.Envelope[M] // outgoing split by destination
 	tx      [][]byte                  // per-peer batch encode buffers
 	frame   [][]byte                  // per-peer frame read buffers
 	rx      [][]transport.Envelope[M] // per-peer decoded batches
 	inboxes [2][]transport.Envelope[M]
 	gen     int
+	hdr     []byte
+	hdrs    [][]byte
 
 	// serialWriters, sampled at construction, records that the process
 	// has a single execution core (GOMAXPROCS=1): parallel writer workers
@@ -157,14 +152,11 @@ type Endpoint[M any] struct {
 	// unconditionally. Readers stay parallel regardless — a read is
 	// mostly netpoll parking, which costs no core while it waits.
 	serialWriters bool
-	reports       [][]byte // id==0: assembled CollectReports result
-	ctrlFrame     [][]byte // id==0: per-peer control read buffers
-	verdictBuf    []byte
 
 	// Bytes-on-wire accounting: every frame that crosses a socket —
-	// data batches and control payloads alike — is counted with its
+	// batches with their headers, and blame frames — is counted with its
 	// length prefix, against the peer it crossed to or from. Atomics
-	// because writers, readers, and the control plane account
+	// because writers, readers, and the blame broadcast account
 	// concurrently; WireStats sums the lanes into totals on demand.
 	wirePeers []peerWire // indexed by peer machine ID; [e.id] stays zero
 
@@ -176,7 +168,7 @@ type Endpoint[M any] struct {
 
 	// mu serialises job signalling against Close so a send can never
 	// race the closing of a signal channel, and closed gates supersteps
-	// and CollectReports on an endpoint that is already torn down.
+	// on an endpoint that is already torn down.
 	mu        sync.Mutex
 	closed    bool
 	closeOnce sync.Once
@@ -194,6 +186,7 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		tx:          make([][]byte, k),
 		frame:       make([][]byte, k),
 		rx:          make([][]transport.Envelope[M], k),
+		hdrs:        make([][]byte, k),
 		wirePeers:   make([]peerWire, k),
 
 		serialWriters: runtime.GOMAXPROCS(0) == 1,
@@ -255,10 +248,10 @@ func (e *Endpoint[M]) SetWireVersion(v byte) error {
 }
 
 // WireStats returns the endpoint's physical-layer counters: frames and
-// actual bytes (length prefix included) sent and received across data
-// and control connections, with a per-peer breakdown in PerPeer
-// (indexed by peer machine ID; the endpoint's own slot stays zero).
-// Safe to call at any time, including mid-run.
+// actual bytes (length prefix included) sent and received, with a
+// per-peer breakdown in PerPeer (indexed by peer machine ID; the
+// endpoint's own slot stays zero). Safe to call at any time, including
+// mid-run.
 func (e *Endpoint[M]) WireStats() transport.WireStats {
 	w := transport.WireStats{PerPeer: make([]transport.PeerWireStats, e.k)}
 	for j := range e.wirePeers {
@@ -309,9 +302,8 @@ func (e *Endpoint[M]) Connect(peers []string, timeout time.Duration) error {
 }
 
 // startPipeline spawns the persistent per-connection workers: a writer
-// and a reader per data peer, plus (on the coordinator) a control
-// reader per peer for CollectReports. Workers park on their signal
-// channel between supersteps and exit when Close closes it.
+// and a reader per peer. Workers park on their signal channel between
+// supersteps and exit when Close closes it.
 func (e *Endpoint[M]) startPipeline() {
 	e.writerCh = make([]chan pipeJob, e.k)
 	e.readerCh = make([]chan pipeJob, e.k)
@@ -321,17 +313,8 @@ func (e *Endpoint[M]) startPipeline() {
 		}
 		e.writerCh[j] = make(chan pipeJob, 1)
 		e.readerCh[j] = make(chan pipeJob, 1)
-		go e.pipeWorker(e.writerCh[j], &e.workWG, func(job pipeJob) { e.runWriter(j, job) })
-		go e.pipeWorker(e.readerCh[j], &e.workWG, func(job pipeJob) { e.runReader(j, job) })
-	}
-	if e.id == 0 {
-		e.ctrlCh = make([]chan pipeJob, e.k)
-		e.reports = make([][]byte, e.k)
-		e.ctrlFrame = make([][]byte, e.k)
-		for j := 1; j < e.k; j++ {
-			e.ctrlCh[j] = make(chan pipeJob, 1)
-			go e.pipeWorker(e.ctrlCh[j], &e.ctrlWG, func(job pipeJob) { e.runCtrlReader(j, job) })
-		}
+		go e.pipeWorker(e.writerCh[j], func(job pipeJob) { e.runWriter(j, job) })
+		go e.pipeWorker(e.readerCh[j], func(job pipeJob) { e.runReader(j, job) })
 	}
 	e.mu.Lock()
 	e.started = true
@@ -346,28 +329,28 @@ func (e *Endpoint[M]) startPipeline() {
 // when Close fires is still delivered before the closed-channel zero
 // value, so the signaller's WaitGroup always drains (the job's I/O
 // fails fast on the closed connections).
-func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, wg *sync.WaitGroup, run func(pipeJob)) {
+func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, run func(pipeJob)) {
 	for job := range ch {
 		run(job)
-		wg.Done()
+		e.workWG.Done()
 	}
 }
 
-// recordErr files a worker failure into a (cause, shrapnel) pair:
-// net.ErrClosed errors — the debris of our own teardown — are kept
-// apart from genuine causes, and within each class the first arrival
-// wins. Returns whether err was installed as the genuine cause.
-func (e *Endpoint[M]) recordErr(cause, shrapnel *error, err error) bool {
+// recordErr files a worker failure: net.ErrClosed errors — the debris
+// of our own teardown — go to shrapnel, apart from genuine causes, and
+// within each class the first arrival wins. Returns whether err was
+// installed as the genuine cause.
+func (e *Endpoint[M]) recordErr(err error) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if errors.Is(err, net.ErrClosed) {
-		if *shrapnel == nil {
-			*shrapnel = err
+		if e.shrapnel == nil {
+			e.shrapnel = err
 		}
 		return false
 	}
-	if *cause == nil {
-		*cause = err
+	if e.cause == nil {
+		e.cause = err
 		return true
 	}
 	return false
@@ -398,7 +381,7 @@ const blameWriteTimeout = time.Second
 // race real (the slow per-superstep goroutine spawns of the previous
 // engine masked it).
 func (e *Endpoint[M]) fail(err error) {
-	if e.recordErr(&e.cause, &e.shrapnel, err) {
+	if e.recordErr(err) {
 		e.castBlame(err)
 	}
 	e.Close()
@@ -440,6 +423,9 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 		// Job-attached endpoints scope every data frame: the header sits
 		// ahead of the version byte, the batch encoding is untouched.
 		base = wire.AppendJobHeader(base, e.jobID)
+	}
+	if e.hdr != nil {
+		base = wire.AppendReport(base, e.hdr)
 	}
 	var buf []byte
 	var err error
@@ -540,6 +526,12 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 		}
 		payload = rest
 	}
+	hdr, rest, _, herr := wire.PeelReport(payload)
+	if herr != nil {
+		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d header from %d: %w", e.id, j, herr)))
+		return
+	}
+	e.hdrs[j], payload = hdr, rest
 	gotStep, from, envs, err := wire.DecodeBatchAnyInto(payload, e.codec, transport.MachineID(j), transport.MachineID(e.id), e.rx[j])
 	if e.rec != nil {
 		e.rec.Record(obs.Span{Start: t1, Dur: obs.Now() - t1,
@@ -556,26 +548,6 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 			e.id, job.step, j, gotStep, from)))
 		return
 	}
-}
-
-// runCtrlReader receives peer j's control report for the coordinator.
-// Unlike the data path it does not tear the endpoint down on failure:
-// the coordinator decides how to propagate a missing report (see
-// transport/node's abort broadcast).
-func (e *Endpoint[M]) runCtrlReader(j int, job pipeJob) {
-	dc := e.ctrlIn[j]
-	if err := dc.c.SetReadDeadline(job.dl); err != nil {
-		e.recordErr(&e.ctrlCause, &e.ctrlShrapnel, e.attrib(j, job.step, fmt.Errorf("tcp: coordinator set read deadline for %d: %w", j, err)))
-		return
-	}
-	frame, err := wire.ReadFrameInto(dc.r, e.ctrlFrame[j])
-	if err != nil {
-		e.recordErr(&e.ctrlCause, &e.ctrlShrapnel, e.attrib(j, job.step, fmt.Errorf("tcp: coordinator read report from %d: %w", j, err)))
-		return
-	}
-	e.ctrlFrame[j] = frame[:0]
-	e.countRecv(j, len(frame))
-	e.reports[j] = frame
 }
 
 // ioGuard applies ctx to the endpoint's blocking socket I/O. It returns
@@ -666,12 +638,18 @@ func (e *Endpoint[M]) mergeInbox() []transport.Envelope[M] {
 // e.id, exactly like the loopback transport. Self-addressed envelopes
 // never touch a socket.
 //
+// hdr, when non-nil, rides ahead of the batch in every frame sent
+// (wire.AppendReport). hdrs holds the k headers of the superstep in
+// sender order: hdr itself at e.id, nil for a peer whose frame carried
+// none. Peer headers alias recycled frame storage and stay valid until
+// the next Exchange.
+//
 // ctx's deadline is installed on every connection before I/O: a dead
 // or wedged peer surfaces as a *transport.MachineError (wrapping
 // os.ErrDeadlineExceeded) within it, and cancellation tears the
 // endpoint down, unblocking every parked read. After any error the
 // endpoint is closed and unusable.
-func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
+func (e *Endpoint[M]) Exchange(ctx context.Context, step int, hdr []byte, out []transport.Envelope[M]) (inbox []transport.Envelope[M], hdrs [][]byte, err error) {
 	perDest := e.perDest
 	for j := range perDest {
 		perDest[j] = perDest[j][:0]
@@ -679,7 +657,7 @@ func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.En
 	for _, env := range out {
 		if env.To < 0 || int(env.To) >= e.k {
 			e.Close() // peers are waiting on our batches; unblock them
-			return nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
+			return nil, nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
 		}
 		perDest[env.To] = append(perDest[env.To], env)
 	}
@@ -692,13 +670,14 @@ func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.En
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("tcp: machine %d exchange superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
+		return nil, nil, fmt.Errorf("tcp: machine %d exchange superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
 	}
 	if !e.started {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("tcp: machine %d exchange superstep %d before Connect", e.id, step)
+		return nil, nil, fmt.Errorf("tcp: machine %d exchange superstep %d before Connect", e.id, step)
 	}
 	e.cause, e.shrapnel = nil, nil
+	e.hdr, e.hdrs[e.id] = hdr, hdr
 	job := pipeJob{step: step, dl: dl}
 	// Tiny supersteps skip the writer wakeups: when at most ~2
 	// envelopes per peer leave, encoding is trivial and the cost of
@@ -748,149 +727,12 @@ func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.En
 	// culprit — wins whenever one exists. The workWG barrier above is
 	// the happens-before edge that makes the plain reads safe.
 	if err := e.cause; err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.shrapnel; err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return e.mergeInbox(), nil
-}
-
-// SendToCoordinator ships one control payload to machine 0, bounded by
-// ctx's deadline. On the coordinator itself the payload loops back
-// locally; the queued slice is retained until the matching
-// CollectReports pops it, so the caller must not recycle it earlier.
-func (e *Endpoint[M]) SendToCoordinator(ctx context.Context, payload []byte) error {
-	if e.id == 0 {
-		e.ownQueue = append(e.ownQueue, payload)
-		return nil
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	if err := e.ctrl.c.SetWriteDeadline(dl); err != nil {
-		return fmt.Errorf("tcp: machine %d set control write deadline: %w", e.id, err)
-	}
-	if err := wire.WriteFrame(e.ctrl.w, payload); err != nil {
-		return err
-	}
-	if err := e.ctrl.w.Flush(); err != nil {
-		return err
-	}
-	e.countSent(0, len(payload))
-	return nil
-}
-
-// CollectReports (coordinator only) returns one control payload per
-// machine, indexed by machine ID; position 0 is the coordinator's own
-// loop-back payload. A machine whose report does not arrive within
-// ctx's deadline surfaces as a *transport.MachineError naming it and
-// step — this is where the coordinator detects a dead peer between
-// supersteps. The reads are serviced by the persistent per-peer control
-// workers; the returned payloads are recycled storage — peer slots are
-// valid until the next CollectReports call, while position 0 aliases
-// the buffer the caller itself queued via SendToCoordinator and is only
-// valid until the caller's next control-plane send (the node runtime
-// re-encodes into recycled scratch each superstep).
-func (e *Endpoint[M]) CollectReports(ctx context.Context, step int) ([][]byte, error) {
-	if e.id != 0 {
-		return nil, fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
-	}
-	if len(e.ownQueue) == 0 {
-		return nil, fmt.Errorf("tcp: coordinator has no local report queued")
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("tcp: coordinator collect on closed endpoint (superstep %d): %w", step, net.ErrClosed)
-	}
-	if !e.started {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("tcp: coordinator collect before Connect (superstep %d)", step)
-	}
-	e.ctrlCause, e.ctrlShrapnel = nil, nil
-	job := pipeJob{step: step, dl: dl}
-	e.ctrlWG.Add(e.k - 1)
-	for j := 1; j < e.k; j++ {
-		e.ctrlCh[j] <- job
-	}
-	e.mu.Unlock()
-	e.ctrlWG.Wait()
-
-	e.reports[0] = e.ownQueue[0]
-	// Pop by shifting down on the same backing array: a re-slice would
-	// walk the array forward and force append to reallocate every few
-	// supersteps.
-	copy(e.ownQueue, e.ownQueue[1:])
-	e.ownQueue = e.ownQueue[:len(e.ownQueue)-1]
-	if err := e.ctrlCause; err != nil {
-		return nil, err
-	}
-	if err := e.ctrlShrapnel; err != nil {
-		return nil, err
-	}
-	return e.reports, nil
-}
-
-// Broadcast (coordinator only) sends one control payload to every other
-// machine. Delivery is attempted to EVERY peer even after a failure —
-// an abort verdict must reach the surviving machines when one peer's
-// control connection is already dead — and the first error is returned
-// after the full sweep.
-func (e *Endpoint[M]) Broadcast(ctx context.Context, payload []byte) error {
-	if e.id != 0 {
-		return fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	var first error
-	for j := 1; j < e.k; j++ {
-		err := e.ctrlIn[j].c.SetWriteDeadline(dl)
-		if err == nil {
-			if err = wire.WriteFrame(e.ctrlIn[j].w, payload); err == nil {
-				err = e.ctrlIn[j].w.Flush()
-			}
-		}
-		if err != nil {
-			if first == nil {
-				first = fmt.Errorf("tcp: coordinator broadcast to %d: %w", j, err)
-			}
-			continue
-		}
-		e.countSent(j, len(payload))
-	}
-	return first
-}
-
-// ReceiveVerdict (non-coordinator) blocks for the coordinator's next
-// control payload, bounded by ctx's deadline. The returned payload is
-// recycled storage, valid until the next ReceiveVerdict call.
-func (e *Endpoint[M]) ReceiveVerdict(ctx context.Context) ([]byte, error) {
-	if e.id == 0 {
-		return nil, fmt.Errorf("tcp: the coordinator does not receive verdicts")
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	if err := e.ctrl.c.SetReadDeadline(dl); err != nil {
-		return nil, fmt.Errorf("tcp: machine %d set verdict read deadline: %w", e.id, err)
-	}
-	frame, err := wire.ReadFrameInto(e.ctrl.r, e.verdictBuf)
-	if err != nil {
-		return nil, err
-	}
-	e.verdictBuf = frame[:0]
-	e.countRecv(0, len(frame))
-	return frame, nil
+	return e.mergeInbox(), e.hdrs, nil
 }
 
 // retireWorkers closes every pipeline signal channel, run at most once
@@ -915,20 +757,16 @@ func (e *Endpoint[M]) retireWorkers() {
 			close(ch)
 		}
 	}
-	for _, ch := range e.ctrlCh {
-		if ch != nil {
-			close(ch)
-		}
-	}
 }
 
 // Detach retires the endpoint's pipeline workers and ends its use of
 // the mesh WITHOUT closing any connection — the standing fabric (and
 // any bytes buffered on it) stays intact for the next job's endpoint.
-// Valid only at a quiescent point: every superstep drained, every
-// control frame consumed — the job-end handshake of the node runtime is
-// what certifies that. A failed endpoint must use Close instead; after
-// Detach the endpoint itself is dead either way.
+// Valid only at a quiescent point: every frame a peer sent has been
+// read — the node runtime's final exchange, in which every machine
+// reads every peer's last frame, certifies that. A failed endpoint must
+// use Close instead; after Detach the endpoint itself is dead either
+// way.
 func (e *Endpoint[M]) Detach() {
 	e.mu.Lock()
 	e.closed = true
@@ -1064,7 +902,7 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 // no driver hangs.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		t.results[i], t.errs[i] = t.eps[i].Exchange(job.ctx, job.step, job.out)
+		t.results[i], _, t.errs[i] = t.eps[i].Exchange(job.ctx, job.step, nil, job.out)
 		t.wg.Done()
 	}
 }

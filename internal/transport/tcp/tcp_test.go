@@ -3,7 +3,6 @@ package tcp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -132,60 +131,6 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 	}
 }
 
-func TestCoordinatorReportVerdictRoundTrip(t *testing.T) {
-	const k = 4
-	eps, err := NewLoopbackMesh[testMsg](k, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, e := range eps {
-			e.Close()
-		}
-	}()
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := range eps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := eps[i].SendToCoordinator(context.Background(), []byte(fmt.Sprintf("report-%d", i))); err != nil {
-				errs[i] = err
-				return
-			}
-			if i == 0 {
-				reports, err := eps[0].CollectReports(context.Background(), 0)
-				if err != nil {
-					errs[0] = err
-					return
-				}
-				for j, r := range reports {
-					if string(r) != fmt.Sprintf("report-%d", j) {
-						errs[0] = fmt.Errorf("report %d = %q", j, r)
-						return
-					}
-				}
-				errs[0] = eps[0].Broadcast(context.Background(), []byte("verdict"))
-				return
-			}
-			v, err := eps[i].ReceiveVerdict(context.Background())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if string(v) != "verdict" {
-				errs[i] = fmt.Errorf("verdict = %q", v)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("machine %d: %v", i, err)
-		}
-	}
-}
-
 // TestExchangeDeadlineOnWedgedPeer is the regression test for the
 // original hang: a peer that is alive but never ships its superstep
 // batch must surface as a machine-attributed os.ErrDeadlineExceeded
@@ -208,7 +153,7 @@ func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 	start := time.Now()
 	// Machine 1 never runs the superstep: machine 0's read of its batch can
 	// only end by deadline.
-	_, err = eps[0].Exchange(ctx, 0, nil)
+	_, _, err = eps[0].Exchange(ctx, 0, nil, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("superstep against a wedged peer succeeded")
@@ -248,7 +193,7 @@ func TestExchangeCancellationUnblocks(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := eps[0].Exchange(ctx, 0, nil)
+		_, _, err := eps[0].Exchange(ctx, 0, nil, nil)
 		done <- err
 	}()
 	select {

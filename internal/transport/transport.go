@@ -129,13 +129,13 @@ func (e *MachineError) Error() string {
 func (e *MachineError) Unwrap() error { return e.Err }
 
 // WireStats counts what a substrate physically shipped: whole frames
-// and their actual byte sizes (length prefixes included), data and
-// control plane alike. It is the measured counterpart of the paper's
-// word-based cost model — Stats.Words counts model words before any
-// transport touches an envelope, WireStats counts the bytes a real
-// socket carried — and comparing the two quantifies both the encoding
-// efficiency of the wire format and the protocol overhead (the node
-// runtime's report/verdict frames) that the model abstracts away. The
+// and their actual byte sizes (length prefixes included). It is the
+// measured counterpart of the paper's word-based cost model —
+// Stats.Words counts model words before any transport touches an
+// envelope, WireStats counts the bytes a real socket carried — and
+// comparing the two quantifies both the encoding efficiency of the
+// wire format and the protocol overhead (empty batches, job headers,
+// the node runtime's frame reports) that the model abstracts away. The
 // loopback transport ships nothing and reports zeros by not
 // implementing WireMeter at all.
 type WireStats struct {

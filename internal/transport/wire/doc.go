@@ -78,9 +78,10 @@
 // A resident mesh executes many jobs over the same persistent
 // connections (DESIGN.md "Job service"). Data frames of such a mesh are
 // job-scoped: a job header sits where the batch version byte otherwise
-// would, and the complete versioned batch follows unchanged —
+// would, and the complete versioned batch follows unchanged, after an
+// optional report section (below) —
 //
-//	jobbed     := 0x03 job batchV1|batchV2
+//	jobbed     := 0x03 job [report] batchV1|batchV2
 //	job        := uvarint             // job ID, assigned by the scheduler
 //
 // The header scopes, it does not re-encode: v1 and v2 bodies travel
@@ -102,6 +103,24 @@
 // "this peer is tearing down because suspect died" — the basis of
 // correct failure attribution across cascading teardowns (transport/tcp
 // castBlame).
+//
+// # Report section
+//
+// A data frame may carry opaque header bytes for its receiver in a
+// report section, placed after the job header (when there is one) and
+// before the batch version byte:
+//
+//	report     := 0x04 replen rep
+//	replen     := uvarint             // length of rep in bytes
+//	rep        := replen bytes        // opaque to this package
+//
+// The standalone node runtime (transport/node) puts each machine's
+// per-superstep report there — done, sent, messages, per-link words,
+// and an optional error text — so every node can fold all k reports
+// and decide termination itself without a control connection. A frame
+// without the section carries no report; the cluster transport never
+// writes one, so its frames are byte-identical to frames without this
+// extension.
 //
 // # Arrival order
 //

@@ -100,13 +100,15 @@ func FuzzBatchDecode(f *testing.F) {
 	})
 }
 
-// FuzzJobHeader hardens PeelJobHeader, which parses the first bytes of
-// every data frame a job-attached reader receives from a peer: it must
-// never panic, a bare (job-less) frame must come back whole, and a job
-// header it accepts must round-trip through AppendJobHeader — same job
-// ID, same inner batch, and the very same bytes whenever the input's
-// job ID was minimally encoded (the encoder's only form; the decoder,
-// like binary.Uvarint, also accepts zero-padded varints).
+// FuzzJobHeader hardens PeelJobHeader and PeelReport, which parse the
+// first bytes of every data frame a reader receives from a peer: they
+// must never panic, a frame without the job header (or without the
+// report section) must come back whole, and a job header accepted must
+// round-trip through AppendJobHeader — same job ID, same inner bytes,
+// and the very same bytes whenever the input's job ID was minimally
+// encoded (the encoder's only form; the decoder, like binary.Uvarint,
+// also accepts zero-padded varints). A report section accepted must
+// round-trip through AppendReport the same way.
 func FuzzJobHeader(f *testing.F) {
 	for _, job := range []uint64{0, 1, 127, 128, 1 << 35, ^uint64(0)} {
 		f.Add(AppendJobHeader(nil, job))
@@ -119,28 +121,50 @@ func FuzzJobHeader(f *testing.F) {
 	f.Add([]byte{BatchJobbed, 0x80})
 	f.Add([]byte{BatchV2, 0, 0})
 	f.Add([]byte{})
+	f.Add(append(AppendReport(AppendJobHeader(nil, 5), []byte{1, 2, 3}), BatchV2, 0, 0))
+	f.Add(AppendReport(nil, nil))
+	f.Add([]byte{BatchReport, 0x05, 1})
 
 	f.Fuzz(func(t *testing.T, src []byte) {
 		job, rest, jobbed, err := PeelJobHeader(src)
-		if !jobbed {
+		switch {
+		case !jobbed:
 			if err != nil || !bytes.Equal(rest, src) {
 				t.Fatalf("job-less frame not returned whole: rest=% x err=%v", rest, err)
+			}
+		case err != nil:
+			return
+		default:
+			if len(rest) >= len(src) || !bytes.Equal(src[len(src)-len(rest):], rest) {
+				t.Fatalf("rest % x is not a proper suffix of % x", rest, src)
+			}
+			re := append(AppendJobHeader(nil, job), rest...)
+			job2, rest2, jobbed2, err := PeelJobHeader(re)
+			if err != nil || !jobbed2 || job2 != job || !bytes.Equal(rest2, rest) {
+				t.Fatalf("re-encoded header: job %d -> %d, jobbed=%v, err=%v", job, job2, jobbed2, err)
+			}
+			if len(src)-len(rest) == 1+UvarintLen(job) && !bytes.Equal(re, src) {
+				t.Fatalf("minimal header did not re-encode byte-identically: % x -> % x", src, re)
+			}
+		}
+
+		rep, after, has, err := PeelReport(rest)
+		if !has {
+			if err != nil || !bytes.Equal(after, rest) {
+				t.Fatalf("report-less frame not returned whole: rest=% x err=%v", after, err)
 			}
 			return
 		}
 		if err != nil {
 			return
 		}
-		if len(rest) >= len(src) || !bytes.Equal(src[len(src)-len(rest):], rest) {
-			t.Fatalf("rest % x is not a proper suffix of % x", rest, src)
+		re := append(AppendReport(nil, rep), after...)
+		rep2, after2, has2, err := PeelReport(re)
+		if err != nil || !has2 || !bytes.Equal(rep2, rep) || !bytes.Equal(after2, after) {
+			t.Fatalf("re-encoded report: % x -> % x, has=%v, err=%v", rep, rep2, has2, err)
 		}
-		re := append(AppendJobHeader(nil, job), rest...)
-		job2, rest2, jobbed2, err := PeelJobHeader(re)
-		if err != nil || !jobbed2 || job2 != job || !bytes.Equal(rest2, rest) {
-			t.Fatalf("re-encoded header: job %d -> %d, jobbed=%v, err=%v", job, job2, jobbed2, err)
-		}
-		if len(src)-len(rest) == 1+UvarintLen(job) && !bytes.Equal(re, src) {
-			t.Fatalf("minimal header did not re-encode byte-identically: % x -> % x", src, re)
+		if len(rest)-len(after) == 1+UvarintLen(uint64(len(rep)))+len(rep) && !bytes.Equal(re, rest) {
+			t.Fatalf("minimal report section did not re-encode byte-identically: % x -> % x", rest, re)
 		}
 	})
 }

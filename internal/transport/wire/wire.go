@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"kmachine/internal/transport"
 )
@@ -539,6 +540,37 @@ func PeelJobHeader(src []byte) (job uint64, rest []byte, jobbed bool, err error)
 	return job, src[1+n:], true, nil
 }
 
+// BatchReport marks a report section: opaque bytes the sending machine
+// attaches to a data frame for every receiver to read. It sits after
+// the job header, when there is one, and before the batch version
+// byte; the wire layer never interprets it. Frames without the section
+// carry no report.
+const BatchReport = byte(0x04)
+
+// AppendReport appends a report section: the BatchReport marker, the
+// uvarint length of rep, and rep itself. The caller appends a
+// versioned batch immediately after.
+func AppendReport(dst, rep []byte) []byte {
+	dst = append(dst, BatchReport)
+	dst = AppendUvarint(dst, uint64(len(rep)))
+	return append(dst, rep...)
+}
+
+// PeelReport splits a frame into its report section and the bytes
+// after it. A frame without the section returns has=false with rest
+// aliasing src whole; otherwise rep aliases the section inside src.
+func PeelReport(src []byte) (rep, rest []byte, has bool, err error) {
+	if len(src) == 0 || src[0] != BatchReport {
+		return nil, src, false, nil
+	}
+	c := Cursor{Src: src, Off: 1}
+	rep = c.Bytes(c.Count(1))
+	if c.Err != nil {
+		return nil, nil, true, fmt.Errorf("wire: corrupt report section: %w", c.Err)
+	}
+	return rep, src[c.Off:], true, nil
+}
+
 // BatchAbort marks a blame frame: a failing endpoint's last words on a
 // data connection, naming the machine it holds responsible before the
 // connection closes. Readers that find one instead of a batch re-raise
@@ -631,10 +663,19 @@ func ReadFrame(r io.ByteReader) ([]byte, error) {
 	return ReadFrameInto(r, nil)
 }
 
+// frameChunk bounds how far ReadFrameInto grows a buffer ahead of the
+// bytes that have actually arrived.
+const frameChunk = 64 << 10
+
 // ReadFrameInto is ReadFrame reusing buf's storage when it has the
 // capacity, so a connection reading one frame per superstep can recycle
 // its read buffer. The returned slice aliases buf on reuse; it is valid
 // until the next ReadFrameInto call with the same buffer.
+//
+// A frame larger than buf grows a fresh buffer as its bytes arrive, each
+// step by at most the larger of what was already read and frameChunk,
+// so a length prefix alone cannot make the reader allocate up to
+// MaxFrame.
 func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -643,18 +684,22 @@ func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
 	if size > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := buf[:0]
-	if uint64(cap(payload)) < size {
-		payload = make([]byte, size)
-	} else {
-		payload = payload[:size]
-	}
 	br, ok := r.(io.Reader)
 	if !ok {
 		return nil, fmt.Errorf("wire: ReadFrameInto needs an io.Reader, got %T", r)
 	}
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
+	n := int(size)
+	payload := buf[:0]
+	for len(payload) < n {
+		off := len(payload)
+		payload = slices.Grow(payload, min(n-off, max(off, frameChunk)))
+		payload = payload[:min(n, cap(payload))]
+		if _, err := io.ReadFull(br, payload[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return payload, nil
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"kmachine/internal/rng"
@@ -479,5 +481,86 @@ func TestJobHeaderRejectsCorruption(t *testing.T) {
 	}
 	if _, _, _, err := DecodeBatchAnyInto(enc, c, 0, 1, nil); err == nil {
 		t.Error("job-less decoder accepted a jobbed frame")
+	}
+}
+
+func TestReportSectionRoundTrip(t *testing.T) {
+	c := pairCodec{}
+	batch, err := AppendBatchV2(nil, 3, 1, 2, []transport.Envelope[pairMsg]{{From: 1, To: 2, Words: 4}}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range [][]byte{{}, {7}, bytes.Repeat([]byte{0x80}, 300)} {
+		// The section sits between the job header and the batch.
+		enc := append(AppendReport(AppendJobHeader(nil, 9), rep), batch...)
+		job, rest, jobbed, err := PeelJobHeader(enc)
+		if err != nil || !jobbed || job != 9 {
+			t.Fatalf("peel job: job=%d jobbed=%v err=%v", job, jobbed, err)
+		}
+		got, rest, has, err := PeelReport(rest)
+		if err != nil || !has || !bytes.Equal(got, rep) {
+			t.Fatalf("peel report: got % x has=%v err=%v, want % x", got, has, err, rep)
+		}
+		if !bytes.Equal(rest, batch) {
+			t.Fatalf("after the report: % x, want the batch % x", rest, batch)
+		}
+	}
+	// A frame without the section comes back whole, job header or not.
+	for _, src := range [][]byte{batch, AppendJobHeader(nil, 1), {}} {
+		got, rest, has, err := PeelReport(src)
+		if err != nil || has || got != nil || !bytes.Equal(rest, src) {
+			t.Fatalf("bare % x: report % x has=%v err=%v", src, got, has, err)
+		}
+	}
+	// Truncated sections are errors, never a short read.
+	for _, src := range [][]byte{{BatchReport}, {BatchReport, 0x80}, {BatchReport, 3, 1, 2}} {
+		if _, _, has, err := PeelReport(src); err == nil || !has {
+			t.Errorf("corrupt section % x: has=%v err=%v, want error", src, has, err)
+		}
+	}
+}
+
+// TestReadFrameGrowsWithArrivedBytes: a length prefix claiming 512 MiB
+// followed by EOF must fail without allocating anywhere near the claim,
+// while a recycled buffer with room still reads with no allocation.
+func TestReadFrameGrowsWithArrivedBytes(t *testing.T) {
+	prefix := binary.AppendUvarint(nil, 512<<20)
+	if len(prefix) != 5 {
+		t.Fatalf("prefix is %d bytes, want 5", len(prefix))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameInto(bytes.NewReader(append(prefix, 1, 2, 3)), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated 512 MiB frame read without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("reading a 5-byte prefix and 3 payload bytes allocated %d bytes", grew)
+	}
+
+	// A frame larger than one growth step still reads whole.
+	want := bytes.Repeat([]byte{0x5A}, 3*frameChunk+17)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrameInto(bufio.NewReader(bytes.NewReader(buf.Bytes())), nil)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("multi-chunk frame: %d bytes, err %v", len(got), err)
+	}
+
+	// Recycled storage with enough capacity takes the zero-alloc path.
+	src := bytes.NewReader(buf.Bytes())
+	r := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(10, func() {
+		src.Reset(buf.Bytes())
+		r.Reset(src)
+		if got, err = ReadFrameInto(r, got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("recycled read allocated %.0f times, want 0", allocs)
 	}
 }
