@@ -75,7 +75,8 @@ type Algorithm[M, L, O any] struct {
 // in-process cluster, resolving cfg.Transport with the descriptor's
 // codec. It returns the merged output and the measured Stats. The input
 // may be a materialised *partition.VertexPartition or a
-// *partition.ShardedInput whose per-machine CSRs are built on demand.
+// *partition.ShardedInput, whose k per-machine CSRs are built from one
+// pass over its stream.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
 	out, stats, _, err := RunWire(a, in, cfg)
 	return out, stats, err
@@ -89,12 +90,12 @@ func RunWire[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Con
 	if cfg.K != in.NumMachines() {
 		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: cluster k=%d but partition k=%d", a.Name, cfg.K, in.NumMachines())
 	}
+	machines, err := newMachines(a, in)
+	if err != nil {
+		return zero, nil, transport.WireStats{}, err
+	}
 	return ExecWire(cfg, a.Codec, func(id core.MachineID) (Machine[M, L], error) {
-		v, err := in.MachineView(id)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		return a.NewMachine(v)
+		return machines[id], nil
 	}, a.Merge)
 }
 
@@ -141,13 +142,7 @@ func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg no
 	if ncfg.K != in.NumMachines() {
 		return zero, nil, fmt.Errorf("%s: node cluster k=%d but partition k=%d", a.Name, ncfg.K, in.NumMachines())
 	}
-	machines, err := buildMachines(in.NumMachines(), func(id core.MachineID) (Machine[M, L], error) {
-		v, err := in.MachineView(id)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		return a.NewMachine(v)
-	})
+	machines, err := newMachines(a, in)
 	if err != nil {
 		return zero, nil, err
 	}
@@ -171,13 +166,7 @@ func NodeRunJob[M, L, O any](a Algorithm[M, L, O], in partition.Input, lm *node.
 	if ncfg.K != in.NumMachines() {
 		return zero, nil, fmt.Errorf("%s: node cluster k=%d but partition k=%d", a.Name, ncfg.K, in.NumMachines())
 	}
-	machines, err := buildMachines(in.NumMachines(), func(id core.MachineID) (Machine[M, L], error) {
-		v, err := in.MachineView(id)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		return a.NewMachine(v)
-	})
+	machines, err := newMachines(a, in)
 	if err != nil {
 		return zero, nil, err
 	}
@@ -212,6 +201,18 @@ func NodeRun[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Co
 		return zero, nil, err
 	}
 	return m.Output(), stats, nil
+}
+
+// newMachines builds the k machines of a from the input's k views, which
+// a sharded input builds from one pass over its stream.
+func newMachines[M, L, O any](a Algorithm[M, L, O], in partition.Input) ([]Machine[M, L], error) {
+	views, err := in.Views()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", a.Name, err)
+	}
+	return buildMachines(len(views), func(id core.MachineID) (Machine[M, L], error) {
+		return a.NewMachine(views[id])
+	})
 }
 
 // buildMachines constructs the k machines sequentially in machine-ID

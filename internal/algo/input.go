@@ -1,8 +1,8 @@
 // Problem-input resolution: the shared helpers every Spec.Build uses to
 // honour Problem.Sharded and Problem.InputPath, plus the timing wrapper
 // that charges input construction to Outcome.SetupTime wherever it
-// happens (Spec.Build for materialised inputs, MachineView for sharded
-// ones).
+// happens (Spec.Build for materialised inputs, Views or MachineView for
+// sharded ones).
 package algo
 
 import (
@@ -22,7 +22,7 @@ func (prob Problem) PartitionSpec() partition.Spec {
 
 // GnpInput resolves the standard graph input of a problem — G(N, EdgeP)
 // at Seed, or the edge list at InputPath — as a materialised
-// VertexPartition or, when prob.Sharded, a lazy per-machine shard input.
+// VertexPartition or, when prob.Sharded, a stream-backed shard input.
 // All four paths produce bit-identical adjacency for each machine.
 func GnpInput(prob Problem) (partition.Input, error) {
 	spec := prob.PartitionSpec()
@@ -37,7 +37,7 @@ func GnpInput(prob Problem) (partition.Input, error) {
 		return partition.NewRVP(g, prob.K, spec.Seed), nil
 	}
 	if prob.Sharded {
-		return gen.GnpInput(spec, prob.EdgeP, prob.Seed), nil
+		return gen.GnpShard(spec, prob.EdgeP, prob.Seed), nil
 	}
 	return partition.NewRVP(gen.Gnp(prob.N, prob.EdgeP, prob.Seed), prob.K, spec.Seed), nil
 }
@@ -52,8 +52,8 @@ func EdgelessInput(prob Problem) partition.Input {
 }
 
 // timedInput wraps an Input and accumulates the wall-clock spent inside
-// MachineView, so the registry can report setup separately from
-// supersteps regardless of where the input is actually built.
+// MachineView and Views, so the registry can report setup separately
+// from supersteps regardless of where the input is actually built.
 type timedInput struct {
 	in       partition.Input
 	viewTime time.Duration
@@ -66,4 +66,11 @@ func (t *timedInput) MachineView(m core.MachineID) (partition.View, error) {
 	v, err := t.in.MachineView(m)
 	t.viewTime += time.Since(t0)
 	return v, err
+}
+
+func (t *timedInput) Views() ([]partition.View, error) {
+	t0 := time.Now()
+	vs, err := t.in.Views()
+	t.viewTime += time.Since(t0)
+	return vs, err
 }

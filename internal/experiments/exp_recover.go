@@ -178,12 +178,12 @@ func bestPagerankArm(prob algo.Problem, in partition.Input, every, killStep, tim
 func runPagerankArm(prob algo.Problem, in partition.Input, every, killStep int, sink *core.MemorySink) (armResult, error) {
 	runtime.GC()
 	a := pagerank.Descriptor(prob.N, pagerank.AlgorithmOne(prob.Eps))
+	views, err := in.Views()
+	if err != nil {
+		return armResult{}, err
+	}
 	machines := make([]algo.Machine[pagerank.Wire, pagerank.Local], prob.K)
-	for i := range machines {
-		v, err := in.MachineView(core.MachineID(i))
-		if err != nil {
-			return armResult{}, err
-		}
+	for i, v := range views {
 		if machines[i], err = a.NewMachine(v); err != nil {
 			return armResult{}, err
 		}

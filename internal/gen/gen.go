@@ -25,8 +25,9 @@
 // keep a single sequential stream (global dedupe and global degree state
 // are inherent to those models) that shard builders replay while
 // retaining only their machine's rows. The full constructors below and
-// the *Shard constructors consume the SAME streams, which is what makes
-// sharded and fully-materialised setup bit-identical by construction.
+// the *Shard inputs (shard.go) consume the SAME streams, which is what
+// makes sharded and fully-materialised setup bit-identical by
+// construction.
 package gen
 
 import (
@@ -129,12 +130,19 @@ func DirectedGnp(n int, p float64, seed uint64) *graph.Graph {
 		panic(fmt.Sprintf("gen: DirectedGnp probability %v out of [0,1]", p))
 	}
 	b := graph.NewBuilder(n, true)
-	if p > 0 {
-		for u := 0; u < n; u++ {
-			directedGnpRow(n, p, seed, int32(u), func(v int32) { b.AddEdge(u, int(v)) })
-		}
-	}
+	directedGnpStream(n, p, seed, func(u, v int32) { b.AddEdge(int(u), int(v)) })
 	return b.Build()
+}
+
+// directedGnpStream replays the canonical directed G(n, p) arc stream:
+// every row in order, each arc u->v emitted once.
+func directedGnpStream(n int, p float64, seed uint64, emit func(u, v int32)) {
+	if p <= 0 {
+		return
+	}
+	for u := 0; u < n; u++ {
+		directedGnpRow(n, p, seed, int32(u), func(v int32) { emit(int32(u), v) })
+	}
 }
 
 // gnmStream replays the canonical G(n, m) edge stream: the first m
@@ -229,10 +237,15 @@ func Gnm(n, m int, seed uint64) *graph.Graph {
 // congests one machine.
 func Star(n int) *graph.Graph {
 	b := graph.NewBuilder(n, false)
-	for i := 1; i < n; i++ {
-		b.AddEdge(0, i)
-	}
+	starStream(n, func(u, v int32) { b.AddEdge(int(u), int(v)) })
 	return b.Build()
+}
+
+// starStream replays Star(n)'s edges {0,i}, i = 1..n-1.
+func starStream(n int, emit func(u, v int32)) {
+	for i := 1; i < n; i++ {
+		emit(0, int32(i))
+	}
 }
 
 // DirectedStarIn returns the directed star with all arcs pointing at
@@ -248,10 +261,15 @@ func DirectedStarIn(n int) *graph.Graph {
 // Path returns the undirected path 0-1-...-(n-1).
 func Path(n int) *graph.Graph {
 	b := graph.NewBuilder(n, false)
-	for i := 0; i+1 < n; i++ {
-		b.AddEdge(i, i+1)
-	}
+	pathStream(n, func(u, v int32) { b.AddEdge(int(u), int(v)) })
 	return b.Build()
+}
+
+// pathStream replays Path(n)'s edges {i,i+1}.
+func pathStream(n int, emit func(u, v int32)) {
+	for i := 0; i+1 < n; i++ {
+		emit(int32(i), int32(i+1))
+	}
 }
 
 // Cycle returns the undirected cycle on n vertices (n >= 3).
@@ -260,10 +278,15 @@ func Cycle(n int) *graph.Graph {
 		panic("gen: Cycle needs n >= 3")
 	}
 	b := graph.NewBuilder(n, false)
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
-	}
+	cycleStream(n, func(u, v int32) { b.AddEdge(int(u), int(v)) })
 	return b.Build()
+}
+
+// cycleStream replays Cycle(n)'s edges {i,(i+1) mod n}.
+func cycleStream(n int, emit func(u, v int32)) {
+	for i := 0; i < n; i++ {
+		emit(int32(i), int32((i+1)%n))
+	}
 }
 
 // DirectedCycle returns the directed cycle 0->1->...->0.

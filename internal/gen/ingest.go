@@ -1,5 +1,5 @@
 // Out-of-core edge-list ingest: stream a text edge list from disk
-// straight into a per-machine CSR shard, so a real dataset can be run
+// straight into per-machine CSR shards, so a real dataset can be run
 // without any process ever materialising the full graph.
 //
 // File format: one edge per line, "u v" with whitespace separation;
@@ -106,34 +106,37 @@ func ReadEdgeListGraph(path string, n int, directed bool) (*graph.Graph, error) 
 	return b.Build(), nil
 }
 
+// EdgeListInput returns the ShardedInput of the edge list at path: each
+// replay reads the file once, so Views ingests all k shards from one
+// read and MachineView one shard from one read — O(file) I/O,
+// O((n+m)/k) retained memory per machine, no global graph object. The
+// file may be the full edge list or a per-machine split (cliutil's
+// splitter): any superset of a machine's incident edges ingests to the
+// identical shard, because the Router drops arcs of machines it does
+// not host.
+func EdgeListInput(path string, ps partition.Spec, directed bool) *partition.ShardedInput {
+	return &partition.ShardedInput{
+		Spec:     ps,
+		Directed: directed,
+		Stream: func(emit func(u, v int32)) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return ScanEdgeList(f, ps.N, emit)
+		},
+	}
+}
+
 // IngestEdgeList streams the edge list at path into machine m's CSR
-// shard: O(file) I/O, O((n+m)/k) retained memory, no global graph
-// object. The file may be the full edge list or a per-machine split
-// (cliutil's splitter) — any superset of m's incident edges ingests to
-// the identical shard, because the LocalBuilder drops remote-remote
-// lines.
+// shard alone.
 func IngestEdgeList(path string, ps partition.Spec, directed bool, m core.MachineID) (*partition.LocalView, error) {
-	f, err := os.Open(path)
+	shards, err := EdgeListInput(path, ps, directed).Shards(m)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	lb := partition.NewLocalBuilder(ps, m, directed)
-	if err := ScanEdgeList(f, ps.N, lb.AddArc); err != nil {
-		return nil, err
-	}
-	return lb.Build(), nil
-}
-
-// EdgeListInput returns the ShardedInput that ingests each machine's
-// shard from the edge list at path.
-func EdgeListInput(path string, ps partition.Spec, directed bool) *partition.ShardedInput {
-	return &partition.ShardedInput{
-		Spec: ps,
-		BuildShard: func(m core.MachineID) (*partition.LocalView, error) {
-			return IngestEdgeList(path, ps, directed, m)
-		},
-	}
+	return shards[m], nil
 }
 
 // WriteEdgeList writes g in the ingest file format: each undirected edge

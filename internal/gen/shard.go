@@ -1,141 +1,82 @@
-// Shard constructors: machine m's partition-local view of each generator
-// family, built without ever materialising a *graph.Graph. Each replays
-// the SAME canonical edge stream as the full constructor in gen.go
-// through a partition.LocalBuilder, which retains only the arcs incident
-// to m's Home-owned vertices — so the union of all k shards is
-// bit-identical to the full graph by construction (asserted per
-// generator by the shard/full equivalence suite).
+// Shard constructors: the partition-local input of each generator
+// family, built without ever materialising a *graph.Graph. Each returns
+// a partition.ShardedInput whose Stream is the SAME canonical edge
+// stream the full constructor in gen.go consumes; the input's Router
+// keeps, per hosted machine, only the arcs incident to that machine's
+// Home-owned vertices — so the union of all k shards is bit-identical to
+// the full graph by construction (asserted per family by the shard/full
+// equivalence suite).
 //
-// Cost note: under a hashed RVP the random families must REPLAY the full
-// stream — an undirected edge {u,v} with u remote and v local is decided
-// by row u's RNG, which machine m can only reproduce by running row u —
-// so shard generation is O(n+m) time but O((n+m)/k) retained memory,
-// which is the resource the model (and E23) actually bounds per machine.
-// The structured families (Star, Path, Cycle) emit their local rows
-// directly and skip the replay entirely.
+// Cost note: under a hashed RVP the stream must be REPLAYED in full — an
+// undirected edge {u,v} with u remote and v local is decided by row u's
+// RNG, which machine m can only reproduce by running row u. One replay
+// is O(n+m) time and feeds every shard a process hosts, so an in-process
+// cluster pays it once for all k machines, and a one-machine process
+// pays it once for O((n+m)/k) retained memory, the resource the model
+// (and E23) bounds per machine. The structured families (Star, Path,
+// Cycle) have O(n)-edge streams, the same order as the hash pass that
+// finds any machine's local vertices.
 package gen
 
 import (
 	"fmt"
 
-	"kmachine/internal/core"
 	"kmachine/internal/partition"
 )
 
-// GnpShard builds machine m's shard of Gnp(ps.N, p, seed).
-func GnpShard(ps partition.Spec, p float64, seed uint64, m core.MachineID) *partition.LocalView {
+// sharded wraps a canonical stream that cannot fail as the
+// ShardedInput of partition ps.
+func sharded(ps partition.Spec, directed bool, stream func(emit func(u, v int32))) *partition.ShardedInput {
+	return &partition.ShardedInput{
+		Spec:     ps,
+		Directed: directed,
+		Stream: func(emit func(u, v int32)) error {
+			stream(emit)
+			return nil
+		},
+	}
+}
+
+// GnpShard is the sharded input of Gnp(ps.N, p, seed) — the registry's
+// sharded counterpart of NewRVP(Gnp(n, p, seed), k, ps.Seed).
+func GnpShard(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("gen: GnpShard probability %v out of [0,1]", p))
 	}
-	lb := partition.NewLocalBuilder(ps, m, false)
-	gnpStream(ps.N, p, seed, lb.AddEdge)
-	return lb.Build()
+	return sharded(ps, false, func(emit func(u, v int32)) { gnpStream(ps.N, p, seed, emit) })
 }
 
-// DirectedGnpShard builds machine m's shard of DirectedGnp(ps.N, p, seed).
-func DirectedGnpShard(ps partition.Spec, p float64, seed uint64, m core.MachineID) *partition.LocalView {
+// DirectedGnpShard is the sharded input of DirectedGnp(ps.N, p, seed).
+func DirectedGnpShard(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("gen: DirectedGnpShard probability %v out of [0,1]", p))
 	}
-	lb := partition.NewLocalBuilder(ps, m, true)
-	if p > 0 {
-		for u := 0; u < ps.N; u++ {
-			directedGnpRow(ps.N, p, seed, int32(u), func(v int32) { lb.AddArc(int32(u), v) })
-		}
-	}
-	return lb.Build()
+	return sharded(ps, true, func(emit func(u, v int32)) { directedGnpStream(ps.N, p, seed, emit) })
 }
 
-// GnmShard builds machine m's shard of Gnm(ps.N, mEdges, seed).
-func GnmShard(ps partition.Spec, mEdges int, seed uint64, m core.MachineID) *partition.LocalView {
+// GnmShard is the sharded input of Gnm(ps.N, mEdges, seed).
+func GnmShard(ps partition.Spec, mEdges int, seed uint64) *partition.ShardedInput {
 	maxM := ps.N * (ps.N - 1) / 2
 	if mEdges > maxM {
 		panic(fmt.Sprintf("gen: GnmShard wants %d edges but K_%d has only %d", mEdges, ps.N, maxM))
 	}
-	lb := partition.NewLocalBuilder(ps, m, false)
-	gnmStream(ps.N, mEdges, seed, lb.AddEdge)
-	return lb.Build()
+	return sharded(ps, false, func(emit func(u, v int32)) { gnmStream(ps.N, mEdges, seed, emit) })
 }
 
-// StarShard builds machine m's shard of Star(ps.N). Row-direct: when the
-// hub is remote only the machine's own leaf rows are touched.
-func StarShard(ps partition.Spec, m core.MachineID) *partition.LocalView {
-	lb := partition.NewLocalBuilder(ps, m, false)
-	if lb.IsLocal(0) {
-		for v := 1; v < ps.N; v++ {
-			lb.AddEdge(0, int32(v))
-		}
-	} else {
-		for _, v := range lb.Locals() {
-			if v != 0 {
-				lb.AddEdge(0, v)
-			}
-		}
-	}
-	return lb.Build()
-}
-
-// PathShard builds machine m's shard of Path(ps.N). Row-direct.
-func PathShard(ps partition.Spec, m core.MachineID) *partition.LocalView {
-	lb := partition.NewLocalBuilder(ps, m, false)
-	for _, v := range lb.Locals() {
-		if v > 0 {
-			lb.AddEdge(v-1, v)
-		}
-		if int(v)+1 < ps.N {
-			lb.AddEdge(v, v+1)
-		}
-	}
-	return lb.Build()
-}
-
-// CycleShard builds machine m's shard of Cycle(ps.N). Row-direct.
-func CycleShard(ps partition.Spec, m core.MachineID) *partition.LocalView {
-	if ps.N < 3 {
-		panic("gen: CycleShard needs n >= 3")
-	}
-	n := int32(ps.N)
-	lb := partition.NewLocalBuilder(ps, m, false)
-	for _, v := range lb.Locals() {
-		lb.AddEdge(v, (v+1)%n)
-		lb.AddEdge((v-1+n)%n, v)
-	}
-	return lb.Build()
-}
-
-// PreferentialAttachmentShard builds machine m's shard of
-// PreferentialAttachment(ps.N, attach, seed) by replaying the canonical
-// attachment stream (the global degree state is inherent to the model,
-// but only m's rows are retained).
-func PreferentialAttachmentShard(ps partition.Spec, attach int, seed uint64, m core.MachineID) *partition.LocalView {
+// PreferentialAttachmentShard is the sharded input of
+// PreferentialAttachment(ps.N, attach, seed). The global degree state is
+// inherent to the model, so every replay runs the whole attachment
+// stream; only the hosted machines' rows are retained.
+func PreferentialAttachmentShard(ps partition.Spec, attach int, seed uint64) *partition.ShardedInput {
 	if attach < 1 {
 		panic("gen: PreferentialAttachmentShard needs attach >= 1")
 	}
-	lb := partition.NewLocalBuilder(ps, m, false)
-	paStream(ps.N, attach, seed, lb.AddEdge)
-	return lb.Build()
-}
-
-// GnpInput returns the ShardedInput that lazily builds per-machine
-// Gnp shards — the registry's sharded counterpart of
-// NewRVP(Gnp(n, p, seed), k, pseed).
-func GnpInput(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput {
-	return &partition.ShardedInput{
-		Spec: ps,
-		BuildShard: func(m core.MachineID) (*partition.LocalView, error) {
-			return GnpShard(ps, p, seed, m), nil
-		},
-	}
+	return sharded(ps, false, func(emit func(u, v int32)) { paStream(ps.N, attach, seed, emit) })
 }
 
 // EdgelessInput returns the ShardedInput for problems whose graph is
 // empty (dsort, routing): each machine's shard is just its local vertex
 // set.
 func EdgelessInput(ps partition.Spec) *partition.ShardedInput {
-	return &partition.ShardedInput{
-		Spec: ps,
-		BuildShard: func(m core.MachineID) (*partition.LocalView, error) {
-			return partition.NewLocalBuilder(ps, m, false).Build(), nil
-		},
-	}
+	return &partition.ShardedInput{Spec: ps}
 }

@@ -3,16 +3,16 @@
 // model's own input assumption (§1.1: "the input is already partitioned
 // when the computation starts"; likewise Klauck et al.'s input
 // distribution). A Spec describes the RVP without materialising anything
-// — homes are a pure hash — and a LocalBuilder accumulates exactly the
-// adjacency rows of one machine's vertices into a LocalView, a CSR with
-// no *graph.Graph behind it.
+// — homes are a pure hash — and a Router replays one canonical edge
+// stream into the LocalBuilders of the machines a process hosts, each of
+// which turns exactly its machine's adjacency rows into a LocalView, a
+// CSR with no *graph.Graph behind it.
 
 package partition
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"kmachine/internal/core"
 )
@@ -36,106 +36,101 @@ type Spec struct {
 // every vertex.
 func (s Spec) HomeOf(v int32) core.MachineID { return Home(s.Seed, v, s.K) }
 
-// Locals returns machine m's vertices in increasing ID order. This is
-// the one O(n)-time pass sharded setup cannot avoid under a hashed RVP
-// (local IDs are only enumerable by evaluating the hash), but it
-// allocates just the O(n/k) result.
-func (s Spec) Locals(m core.MachineID) []int32 {
-	out := make([]int32, 0, s.N/s.K+1)
-	for v := 0; v < s.N; v++ {
-		if Home(s.Seed, int32(v), s.K) == m {
-			out = append(out, int32(v))
-		}
-	}
-	return out
+// Router feeds one canonical edge stream to the LocalBuilders of a set
+// of hosted machines: each edge is hashed to its endpoints' homes and
+// appended to those machines' builders, so a process hosting all k
+// machines builds every shard from a single replay, and a process
+// hosting one machine keeps only that machine's arcs.
+type Router struct {
+	spec     Spec
+	directed bool
+	builders []*LocalBuilder // by machine; nil for a machine not hosted
 }
 
-// LocalBuilder accumulates machine m's shard of a graph: exactly the
-// arcs incident to m's vertices, fed either by replaying a generator's
-// canonical edge stream (AddEdge/AddArc filter by Home) or by emitting
-// the machine's rows directly. Build produces an immutable LocalView.
+// NewRouter returns a router whose builders hold the shards of the
+// hosted machines under spec. Finding the local vertices costs one O(n)
+// hash pass — the one pass sharded setup cannot avoid under a hashed
+// RVP (local IDs are only enumerable by evaluating the hash) — shared by
+// every hosted machine.
+func NewRouter(spec Spec, directed bool, hosted ...core.MachineID) *Router {
+	if spec.N < 0 || spec.K < 1 {
+		panic(fmt.Sprintf("partition: bad shard spec n=%d k=%d", spec.N, spec.K))
+	}
+	r := &Router{spec: spec, directed: directed, builders: make([]*LocalBuilder, spec.K)}
+	for _, m := range hosted {
+		if int(m) < 0 || int(m) >= spec.K {
+			panic(fmt.Sprintf("partition: shard machine %d out of [0,%d)", m, spec.K))
+		}
+		r.builders[m] = &LocalBuilder{spec: spec, self: m, directed: directed,
+			locals: make([]int32, 0, spec.N/spec.K+1)}
+	}
+	for v := int32(0); int(v) < spec.N; v++ {
+		if b := r.builders[spec.HomeOf(v)]; b != nil {
+			b.locals = append(b.locals, v)
+		}
+	}
+	return r
+}
+
+// Add routes the undirected edge {u,v} — or, for a directed router, the
+// arc u->v — to the builders of u's and v's home machines: an out-arc at
+// u's home, and at v's home the reverse arc (undirected) or an in-arc
+// (directed; the home machine knows both directions of its vertices'
+// incident edges, §1.1). Arcs for machines not hosted are dropped, so
+// the full stream can be replayed through any router. Self-loops are
+// ignored (matching graph.Builder); out-of-range endpoints panic.
+func (r *Router) Add(u, v int32) {
+	if u < 0 || int(u) >= r.spec.N || v < 0 || int(v) >= r.spec.N {
+		panic(fmt.Sprintf("partition: shard edge (%d,%d) out of range [0,%d)", u, v, r.spec.N))
+	}
+	if u == v {
+		return
+	}
+	if b := r.builders[r.spec.HomeOf(u)]; b != nil {
+		b.out = append(b.out, packArc(u, v))
+	}
+	if b := r.builders[r.spec.HomeOf(v)]; b != nil {
+		if r.directed {
+			b.in = append(b.in, packArc(v, u))
+		} else {
+			b.out = append(b.out, packArc(v, u))
+		}
+	}
+}
+
+// Build finalises every hosted builder. The result is indexed by
+// machine ID, nil for a machine the router does not host.
+func (r *Router) Build() []*LocalView {
+	views := make([]*LocalView, len(r.builders))
+	for m, b := range r.builders {
+		if b != nil {
+			views[m] = b.Build()
+		}
+	}
+	return views
+}
+
+// packArc packs the arc (local tail u, head v) into one word whose
+// natural order is (u, v) order: both IDs are non-negative, so sorting
+// the words sorts the arcs by row, then by neighbour.
+func packArc(u, v int32) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// LocalBuilder accumulates one machine's shard: exactly the arcs whose
+// tail is homed on the machine, as packed (u<<32 | v) words that a
+// Router appends after filtering by the Spec.HomeOf hash. No per-vertex
+// index is kept: Build recovers the rows by sorting the words and
+// merging them against the sorted locals.
 type LocalBuilder struct {
 	spec     Spec
 	self     core.MachineID
 	directed bool
-	locals   []int32
-	index    map[int32]int32 // global vertex ID -> local row
-	out      [][2]int32      // (local tail, head) arcs
-	in       [][2]int32      // (local head, tail) arcs, directed only
+	locals   []int32  // the machine's vertices, increasing
+	out      []uint64 // packed (local tail, head) arcs
+	in       []uint64 // packed (local head, tail) arcs, directed only
 }
 
-// NewLocalBuilder returns a builder for machine m's shard under the
-// given partition spec.
-func NewLocalBuilder(spec Spec, m core.MachineID, directed bool) *LocalBuilder {
-	if spec.N < 0 || spec.K < 1 {
-		panic(fmt.Sprintf("partition: bad shard spec n=%d k=%d", spec.N, spec.K))
-	}
-	if int(m) < 0 || int(m) >= spec.K {
-		panic(fmt.Sprintf("partition: shard machine %d out of [0,%d)", m, spec.K))
-	}
-	locals := spec.Locals(m)
-	index := make(map[int32]int32, len(locals))
-	for i, v := range locals {
-		index[v] = int32(i)
-	}
-	return &LocalBuilder{spec: spec, self: m, directed: directed, locals: locals, index: index}
-}
-
-// Locals returns the builder's local vertices (increasing ID order); it
-// lets row-direct generators iterate exactly the rows they must emit.
-func (b *LocalBuilder) Locals() []int32 { return b.locals }
-
-// IsLocal reports whether v is homed on the builder's machine.
-func (b *LocalBuilder) IsLocal(v int32) bool {
-	_, ok := b.index[v]
-	return ok
-}
-
-// AddEdge records the undirected edge {u,v} if either endpoint is local;
-// remote-remote edges are dropped, so a full canonical edge stream can
-// be replayed through it. Self-loops are ignored (matching
-// graph.Builder), out-of-range endpoints panic.
-func (b *LocalBuilder) AddEdge(u, v int32) {
-	b.check(u, v)
-	if u == v {
-		return
-	}
-	if _, ok := b.index[u]; ok {
-		b.out = append(b.out, [2]int32{u, v})
-	}
-	if _, ok := b.index[v]; ok {
-		b.out = append(b.out, [2]int32{v, u})
-	}
-}
-
-// AddArc records the directed arc u->v: an out-arc if u is local, an
-// in-arc if v is local (the home machine knows both directions of its
-// vertices' incident edges, §1.1).
-func (b *LocalBuilder) AddArc(u, v int32) {
-	b.check(u, v)
-	if u == v {
-		return
-	}
-	if !b.directed {
-		b.AddEdge(u, v)
-		return
-	}
-	if _, ok := b.index[u]; ok {
-		b.out = append(b.out, [2]int32{u, v})
-	}
-	if _, ok := b.index[v]; ok {
-		b.in = append(b.in, [2]int32{v, u})
-	}
-}
-
-func (b *LocalBuilder) check(u, v int32) {
-	if u < 0 || int(u) >= b.spec.N || v < 0 || int(v) >= b.spec.N {
-		panic(fmt.Sprintf("partition: shard edge (%d,%d) out of range [0,%d)", u, v, b.spec.N))
-	}
-}
-
-// Build finalises the shard: per-row sort, dedupe, CSR. The builder's
-// arc buffers are released; only the O(local rows) CSR is retained.
+// Build finalises the shard: sort, dedupe, CSR. The builder's arc
+// buffers are released; only the O(local rows) CSR is retained.
 func (b *LocalBuilder) Build() *LocalView {
 	lv := &LocalView{
 		spec:     b.spec,
@@ -143,42 +138,31 @@ func (b *LocalBuilder) Build() *LocalView {
 		directed: b.directed,
 		locals:   b.locals,
 	}
-	lv.outOffs, lv.outTgts = b.csr(b.out)
+	lv.outOffs, lv.outTgts = csr(b.locals, b.out)
 	if b.directed {
-		lv.inOffs, lv.inTgts = b.csr(b.in)
+		lv.inOffs, lv.inTgts = csr(b.locals, b.in)
 	}
 	b.out, b.in = nil, nil
 	return lv
 }
 
-// csr turns (local vertex, neighbour) arcs into a deduped CSR indexed by
-// local row, mirroring graph.Builder's sort-dedupe semantics.
-func (b *LocalBuilder) csr(arcs [][2]int32) (offs, tgts []int32) {
-	sort.Slice(arcs, func(i, j int) bool {
-		ri, rj := b.index[arcs[i][0]], b.index[arcs[j][0]]
-		if ri != rj {
-			return ri < rj
-		}
-		return arcs[i][1] < arcs[j][1]
-	})
-	w := 0
-	for i, a := range arcs {
-		if i > 0 && a == arcs[i-1] {
-			continue
-		}
-		arcs[w] = a
-		w++
-	}
-	arcs = arcs[:w]
-	offs = make([]int32, len(b.locals)+1)
+// csr turns packed arcs into a deduped CSR indexed by local row,
+// mirroring graph.Builder's sort-dedupe semantics. Every arc's tail is
+// in locals, and locals are in increasing ID order, so the sorted arcs
+// are already in row order: one merge fills the offsets.
+func csr(locals []int32, arcs []uint64) (offs, tgts []int32) {
+	slices.Sort(arcs)
+	arcs = slices.Compact(arcs)
+	offs = make([]int32, len(locals)+1)
 	tgts = make([]int32, len(arcs))
-	for i, a := range arcs {
-		offs[b.index[a[0]]+1]++
-		tgts[i] = a[1]
+	i := 0
+	for r, u := range locals {
+		offs[r] = int32(i)
+		for ; i < len(arcs) && int32(arcs[i]>>32) == u; i++ {
+			tgts[i] = int32(uint32(arcs[i]))
+		}
 	}
-	for i := 0; i < len(b.locals); i++ {
-		offs[i+1] += offs[i]
-	}
+	offs[len(locals)] = int32(i)
 	return offs, tgts
 }
 
@@ -262,26 +246,63 @@ func (v *LocalView) mustLocal(u int32, op string) int32 {
 	return int32(r)
 }
 
-// ShardedInput is the partition-local Input: MachineView(m) builds
-// machine m's shard on demand by calling BuildShard, so a process
-// hosting one machine (cmd/kmnode -id) materialises only that machine's
-// rows, and a process hosting all k (the in-process substrates, used by
-// the sharded/full equivalence suite) never holds a global graph object.
+// ShardedInput is the partition-local Input: the graph is a canonical
+// edge stream (a generator replay or an edge-list scan), and a Router
+// turns one replay of it into the shards of every machine the caller
+// asks for. Views builds all k from a single pass (the in-process
+// substrates); MachineView(m) builds m's alone, so a process hosting one
+// machine (cmd/kmnode -id) holds only that machine's rows. No path ever
+// holds a global graph object.
 type ShardedInput struct {
 	// Spec is the partition every shard is built under.
 	Spec Spec
-	// BuildShard generates or ingests machine m's shard.
-	BuildShard func(m core.MachineID) (*LocalView, error)
+	// Directed says whether Stream emits arcs u->v (true) or undirected
+	// edges {u,v}.
+	Directed bool
+	// Stream replays the graph, calling emit once per edge or arc; it
+	// may be called once per Views or MachineView call. A nil Stream is
+	// the edgeless graph.
+	Stream func(emit func(u, v int32)) error
 }
 
 // NumMachines implements Input.
 func (in *ShardedInput) NumMachines() int { return in.Spec.K }
 
-// MachineView implements Input.
+// MachineView implements Input: one replay, machine m's rows kept.
 func (in *ShardedInput) MachineView(m core.MachineID) (View, error) {
-	lv, err := in.BuildShard(m)
+	shards, err := in.Shards(m)
 	if err != nil {
 		return nil, fmt.Errorf("partition: shard %d: %w", m, err)
 	}
-	return lv, nil
+	return shards[m], nil
+}
+
+// Views implements Input: all k shards from one replay of the stream.
+func (in *ShardedInput) Views() ([]View, error) {
+	all := make([]core.MachineID, in.Spec.K)
+	for m := range all {
+		all[m] = core.MachineID(m)
+	}
+	shards, err := in.Shards(all...)
+	if err != nil {
+		return nil, fmt.Errorf("partition: shards: %w", err)
+	}
+	views := make([]View, len(shards))
+	for m, lv := range shards {
+		views[m] = lv
+	}
+	return views, nil
+}
+
+// Shards replays the stream once through a Router hosting the given
+// machines and returns their shards indexed by machine ID (nil for a
+// machine not hosted).
+func (in *ShardedInput) Shards(hosted ...core.MachineID) ([]*LocalView, error) {
+	r := NewRouter(in.Spec, in.Directed, hosted...)
+	if in.Stream != nil {
+		if err := in.Stream(r.Add); err != nil {
+			return nil, err
+		}
+	}
+	return r.Build(), nil
 }

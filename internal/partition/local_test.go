@@ -11,16 +11,16 @@ import (
 	. "kmachine/internal/partition"
 )
 
-// buildLocal replays g's edges through a LocalBuilder — the
-// generator-independent way to shard an existing graph — and returns
-// machine m's LocalView.
+// buildLocal replays g's edges through a Router hosting machine m alone
+// — the generator-independent way to shard an existing graph — and
+// returns m's LocalView.
 func buildLocal(g *graph.Graph, spec Spec, m core.MachineID, directed bool) *LocalView {
-	lb := NewLocalBuilder(spec, m, directed)
+	r := NewRouter(spec, directed, m)
 	g.Edges(func(u, v int32) bool {
-		lb.AddArc(u, v)
+		r.Add(u, v)
 		return true
 	})
-	return lb.Build()
+	return r.Build()[m]
 }
 
 // TestLocalViewMatchesGraphView is the interface-parity property: on
@@ -110,26 +110,41 @@ func TestSpecAgreesWithNewRVP(t *testing.T) {
 			t.Fatalf("Home(%d): materialised %d, spec %d", v, p.Home(v), spec.HomeOf(v))
 		}
 	}
+	shards := NewRouter(spec, false, 0, 1, 2, 3, 4, 5, 6, 7).Build()
 	for m := core.MachineID(0); int(m) < k; m++ {
-		if !slices.Equal(p.Locals(m), spec.Locals(m)) {
+		if !slices.Equal(p.Locals(m), shards[m].Locals()) {
 			t.Fatalf("Locals(%d) differ between materialised partition and spec", m)
 		}
 	}
 }
 
+func TestRouterRejectsOutOfRangeEdge(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(r.(string), "out of range") {
+			t.Fatalf("out-of-range edge: recovered %v, want an out-of-range panic", r)
+		}
+	}()
+	NewRouter(Spec{N: 10, K: 2, Seed: 1}, false, 0).Add(3, 10)
+}
+
 func TestShardedInputWrapsBuildErrors(t *testing.T) {
 	in := &ShardedInput{
 		Spec: Spec{N: 10, K: 2, Seed: 1},
-		BuildShard: func(m core.MachineID) (*LocalView, error) {
-			return nil, errBoom
+		Stream: func(emit func(u, v int32)) error {
+			emit(0, 1)
+			return errBoom
 		},
 	}
 	if in.NumMachines() != 2 {
 		t.Fatalf("NumMachines = %d", in.NumMachines())
 	}
 	_, err := in.MachineView(1)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("MachineView error %v does not attribute the machine", err)
+	}
+	if _, err := in.Views(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Views error %v does not carry the stream's error", err)
 	}
 }
 

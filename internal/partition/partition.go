@@ -142,14 +142,18 @@ type View interface {
 // Input is a partitioned problem input as the algorithm driver sees it:
 // it hands every machine its View. *VertexPartition implements it by
 // windowing the shared global graph; ShardedInput (local.go) by building
-// each machine's CSR shard on demand, so a process hosting one machine
-// materialises only that machine's Õ((n+m)/k) share.
+// CSR shards from one replay of the input, so a process hosting one
+// machine materialises only that machine's Õ((n+m)/k) share.
 type Input interface {
 	// NumMachines returns k.
 	NumMachines() int
 	// MachineView returns machine m's local window. For sharded inputs
 	// this is where the shard is generated or ingested, so it can fail.
 	MachineView(m core.MachineID) (View, error)
+	// Views returns all k machines' windows in machine-ID order, for a
+	// process that hosts the whole cluster. A sharded input builds them
+	// from a single pass over its input.
+	Views() ([]View, error)
 }
 
 // View returns machine m's local window onto the materialised graph.
@@ -163,6 +167,15 @@ func (p *VertexPartition) NumMachines() int { return p.K }
 // MachineView implements Input.
 func (p *VertexPartition) MachineView(m core.MachineID) (View, error) {
 	return p.View(m), nil
+}
+
+// Views implements Input.
+func (p *VertexPartition) Views() ([]View, error) {
+	views := make([]View, p.K)
+	for m := range views {
+		views[m] = p.View(core.MachineID(m))
+	}
+	return views, nil
 }
 
 // GraphView is the full-materialisation View: a window onto a
